@@ -12,18 +12,18 @@ from .errors import (ConfigInconsistent, DegenerateGround, DimensionMismatch,
                      UnknownFigure)
 from .evolve import (ScanTrace, SweepConfig, concurrence, concurrence_mixed,
                      defect_density, dephase_propagate, eigenpopulations,
-                     propagate, ramp, trotter_step)
+                     propagate, ramp, scan, trotter_step)
 from .kzm import (KzmParams, ScalingFit, freeze_out, freeze_out_bisection,
                   lz_check, predicted_defects, quench_time, reproduce_figure,
                   run_scaling_sweep, tau0)
 from .model import (GroundState, ModelParams, driven_hamiltonian,
                     effective_hamiltonian, effective_relaxation_time,
-                    ground_state, ground_vector, ising_hamiltonian,
-                    relaxation_time, triplet_block)
+                    ground_state, ground_vector, relaxation_time,
+                    triplet_block)
 from .protocol import (PrepAngles, PulseSchedule, gradient_crush,
                        nmr_schedule, prep_angles, prep_operator,
                        protocol_overlap)
-from .smallmat import SpectralData, apply, hermitian_eig, inner, unitary_step
+from .smallmat import SpectralData, hermitian_eig, unitary_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,14 +17,11 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
+from . import evolve, kzm, protocol
+from .errors import IoError, KzsimError, UsageError, ValidationError
 
-from . import evolve, kzm, model, protocol
-from .errors import (ConfigInconsistent, InvalidParam, IoError, KzsimError,
-                     UnknownFigure, UsageError, ValidationError)
-
-_DEFAULTS = dict(bx=0.1, k=1.0, b0=-1.5, bz_end=-0.2, delta_b=0.1,
-                 backend="reference", j_hz=215.0)
+_DEFAULTS = dict(bx=0.1, k=1.0, b0=evolve.B0, bz_end=evolve.BZ_END,
+                 delta_b=evolve.DELTA_B, backend="reference", j_hz=evolve.J_HZ)
 
 
 @dataclass(frozen=True)
@@ -96,52 +93,36 @@ def build_parser() -> _Parser:
     p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
     p.add_argument("--t2", default=None, help="T2 pair in seconds, e.g. 2,0.2")
     p.add_argument("--out", default="scan.csv")
-    p.add_argument("--print-config", action="store_true")
 
-    p = sub.add_parser("sweep", help="defect scaling points, CSV")
-    p.add_argument("--bx", type=float, action="append", dest="bx_values")
-    p.add_argument("--k-grid", default="ideal",
-                   help="'ideal', 'experiment' or comma-separated rates")
-    p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
-    p.add_argument("--bz-end", type=float, default=_DEFAULTS["bz_end"])
-    p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
-    p.add_argument("--t2", default=None)
-    p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
-    p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--print-config", action="store_true")
-
-    p = sub.add_parser("fit", help="scaling sweep plus linear fit, JSON")
-    p.add_argument("--bx", type=float, action="append", dest="bx_values")
-    p.add_argument("--k-grid", default="ideal")
-    p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
-    p.add_argument("--bz-end", type=float, default=_DEFAULTS["bz_end"])
-    p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
-    p.add_argument("--t2", default=None)
-    p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
-    p.add_argument("--out", default="fit.json")
-    p.add_argument("--print-config", action="store_true")
+    for name, text, out in (("sweep", "defect scaling points, CSV", "sweep.csv"),
+                            ("fit", "scaling sweep plus linear fit, JSON", "fit.json")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--bx", type=float, action="append", dest="bx_values")
+        p.add_argument("--k-grid", default="ideal",
+                       help="'ideal', 'experiment' or comma-separated rates")
+        p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
+        p.add_argument("--bz-end", type=float, default=_DEFAULTS["bz_end"])
+        p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
+        p.add_argument("--t2", default=None)
+        p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
+        p.add_argument("--out", default=out)
 
     p = sub.add_parser("figure", help="reproduce a published dataset, CSV")
     p.add_argument("figure_id", choices=list(kzm.FIGURE_IDS))
     p.add_argument("--out", default=None)
-    p.add_argument("--print-config", action="store_true")
 
     p = sub.add_parser("schedule", help="pulse program for one protocol run")
-    p.add_argument("--bx", type=float, default=_DEFAULTS["bx"])
-    p.add_argument("--k", type=float, default=_DEFAULTS["k"])
-    p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
-    p.add_argument("--delta-b", type=float, default=_DEFAULTS["delta_b"])
-    p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
+    add_model_flags(p, bz_end=False)
     p.add_argument("--j", type=int, default=15, help="number of sweep segments")
     p.add_argument("--out", default="schedule.txt")
-    p.add_argument("--print-config", action="store_true")
 
     p = sub.add_parser("lz-check", help="two-level sweep vs crossing formula, JSON")
     p.add_argument("--bx", type=float, default=_DEFAULTS["bx"])
     p.add_argument("--k", type=float, default=_DEFAULTS["k"])
     p.add_argument("--out", default="lz-check.json")
-    p.add_argument("--print-config", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--print-config", action="store_true")
     return parser
 
 
@@ -210,34 +191,13 @@ def _rows_to_csv(note: str, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_scan(params: dict) -> str:
-    cfg = evolve.SweepConfig.from_rate(
-        params["bx"], params["k"], b0=params["b0"], bz_end=params["bz_end"],
-        delta_b=params["delta_b"], backend=params["backend"],
-        t2=params["t2"], j_hz=params["j_hz"],
-    )
-    start = model.ground_vector(model.ModelParams(bx=params["bx"], bz=params["b0"]))
-    if params["t2"] is not None:
-        trace = evolve.dephase_propagate(cfg, np.outer(start, start.conj()))
-    else:
-        trace = evolve.propagate(cfg, start)
-    return trace.to_csv()
-
-
-def _run_sweep_points(params: dict) -> kzm.ScalingFit:
-    return kzm.run_scaling_sweep(
-        params["bx_values"], params["k_values"], backend=params["backend"],
-        b0=params["b0"], bz_end=params["bz_end"], t2=params["t2"],
-        j_hz=params["j_hz"],
-    )
-
-
 def execute(cfg: RunConfig) -> int:
     """Run one validated command and write its artifact."""
     if cfg.command == "scan":
-        _atomic_write(cfg.out, _run_scan(cfg.params))
+        trace = evolve.scan(evolve.SweepConfig.from_rate(**cfg.params))
+        _atomic_write(cfg.out, trace.to_csv())
     elif cfg.command == "sweep":
-        fit = _run_sweep_points(cfg.params)
+        fit = kzm.run_scaling_sweep(**cfg.params)
         body = _rows_to_csv(
             f"scaling sweep: bx={list(cfg.params['bx_values'])},"
             f" backend={cfg.params['backend']}",
@@ -246,7 +206,7 @@ def execute(cfg: RunConfig) -> int:
         )
         _atomic_write(cfg.out, body)
     elif cfg.command == "fit":
-        fit = _run_sweep_points(cfg.params)
+        fit = kzm.run_scaling_sweep(**cfg.params)
         _atomic_write(cfg.out, json.dumps(fit.to_record(), sort_keys=True, indent=2) + "\n")
         sys.stdout.write(
             f"alpha_hat={_fmt(fit.alpha_hat)} r={_fmt(fit.r)} n={fit.n_points}\n"
@@ -285,18 +245,9 @@ def main(argv=None) -> int:
         return execute(cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, ConfigInconsistent, InvalidParam, UnknownFigure) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 3
-    except IoError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
     except KzsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the command-line exit code and the stderr prefix it is
+reported with.
+"""
 
 
 class KzsimError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 3
+    prefix = "error"
+
+
+class _InvalidConfiguration(KzsimError):
+    prefix = "invalid configuration"
 
 
 class NonHermitianInput(KzsimError):
@@ -21,7 +32,7 @@ class GapClosed(KzsimError):
     """Energy gap too small to define a relaxation time."""
 
 
-class ConfigInconsistent(KzsimError):
+class ConfigInconsistent(_InvalidConfiguration):
     """Sweep configuration violates the ramp consistency invariant."""
 
 
@@ -37,21 +48,27 @@ class NoValidBranch(KzsimError):
     """Neither arcsin branch of the preparation angles reproduces the ground state."""
 
 
-class InvalidParam(KzsimError):
+class InvalidParam(_InvalidConfiguration):
     """Parameter outside its admissible range."""
 
 
-class UnknownFigure(KzsimError):
+class UnknownFigure(_InvalidConfiguration):
     """Requested figure id is not one of the reproducible datasets."""
 
 
 class UsageError(KzsimError):
-    """Command line could not be parsed (exit code 2)."""
+    """Command line could not be parsed."""
+
+    exit_code = 2
+    prefix = "usage error"
 
 
-class ValidationError(KzsimError):
-    """Command line parsed but carries invalid values (exit code 3)."""
+class ValidationError(_InvalidConfiguration):
+    """Command line parsed but carries invalid values."""
 
 
 class IoError(KzsimError):
-    """Output could not be written (exit code 4)."""
+    """Output could not be written."""
+
+    exit_code = 4
+    prefix = "i/o error"

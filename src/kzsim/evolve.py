@@ -20,11 +20,15 @@ Observables: defect density D = 1 - |<psi_g|psi>|^2, instantaneous
 eigenpopulations, and two-qubit concurrence.  Transverse relaxation is
 modelled as a per-qubit phase damping channel applied after each segment,
 with decay exp(-dt/T2) over the physical segment duration dt = 2*delta/(pi*J).
+
+``scan`` starts a run in the ground state at b0 and evolves it as a pure
+state, or as a dephased density matrix when T2 times are configured.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -35,11 +39,24 @@ from .smallmat import hermitian_eig, unitary_step
 
 REFERENCE_SUBSTEP = 0.01
 BACKENDS = ("reference", "trotter")
+# experimental settings, the defaults of every sweep and of the command line
+B0 = -1.5
+BZ_END = -0.2
+DELTA_B = 0.1
+J_HZ = 215.0
 
 _RAMP_TOL = 1e-12
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 # qubit bit patterns of the computational basis |q1 q2>
 _BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _require(*, positive: bool = False, **values: float) -> None:
+    """Reject non-finite values and, with ``positive``, values <= 0."""
+    for name, value in values.items():
+        if not math.isfinite(value) or (positive and value <= 0):
+            kind = "positive and finite" if positive else "finite"
+            raise ConfigInconsistent(f"{name} must be {kind}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,17 +73,15 @@ class SweepConfig:
     k: float
     delta: float
     steps: int
-    b0: float = -1.5
-    bz_end: float = -0.2
+    b0: float = B0
+    bz_end: float = BZ_END
     backend: str = "reference"
     t2: tuple[float, float] | None = None
-    j_hz: float = 215.0
+    j_hz: float = J_HZ
 
     def __post_init__(self) -> None:
-        if self.k <= 0 or not math.isfinite(self.k):
-            raise ConfigInconsistent(f"scan rate must be positive, got {self.k}")
-        if self.delta <= 0 or not math.isfinite(self.delta):
-            raise ConfigInconsistent(f"segment duration must be positive, got {self.delta}")
+        _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
+        _require(b0=self.b0, bz_end=self.bz_end)
         if self.steps < 0:
             raise ConfigInconsistent(f"segment count must be >= 0, got {self.steps}")
         if self.backend not in BACKENDS:
@@ -77,8 +92,6 @@ class SweepConfig:
                 f"ramp inconsistent: k*delta*steps = {self.k * self.delta * self.steps}"
                 f" but bz_end - b0 = {span}"
             )
-        if self.j_hz <= 0:
-            raise ConfigInconsistent(f"coupling must be positive, got {self.j_hz} Hz")
 
     @property
     def delta_b(self) -> float:
@@ -90,14 +103,16 @@ class SweepConfig:
         cls,
         bx: float,
         k: float,
-        b0: float = -1.5,
-        bz_end: float = -0.2,
-        delta_b: float = 0.1,
+        b0: float = B0,
+        bz_end: float = BZ_END,
+        delta_b: float = DELTA_B,
         backend: str = "reference",
         t2: tuple[float, float] | None = None,
-        j_hz: float = 215.0,
+        j_hz: float = J_HZ,
     ) -> "SweepConfig":
         """Build a config from the field step delta_b; delta = delta_b / k."""
+        _require(positive=True, k=k, delta_b=delta_b)
+        _require(b0=b0, bz_end=bz_end)
         steps = int(round((bz_end - b0) / delta_b))
         if steps <= 0 or abs(steps * delta_b - (bz_end - b0)) > 1e-9:
             raise ConfigInconsistent(
@@ -176,8 +191,11 @@ def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
     return uz @ ux
 
 
-def _segment_unitaries_reference(cfg: SweepConfig, m: int) -> list[np.ndarray]:
-    """Substep exponentials making up segment m of the reference backend."""
+def _segment_unitaries(cfg: SweepConfig, m: int) -> list[np.ndarray]:
+    """Propagators of segment m (1-based) in the order they act: the one
+    trotter step, or the reference backend's midpoint substeps."""
+    if cfg.backend == "trotter":
+        return [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta)]
     nsub = max(1, math.ceil(cfg.delta / REFERENCE_SUBSTEP))
     h = cfg.delta / nsub
     t0 = (m - 1) * cfg.delta
@@ -191,26 +209,28 @@ def _segment_unitaries_reference(cfg: SweepConfig, m: int) -> list[np.ndarray]:
 
 def segment_unitary(cfg: SweepConfig, m: int) -> np.ndarray:
     """Full propagator of segment m (1-based) for the configured backend."""
-    if cfg.backend == "trotter":
-        return trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta)
-    u = np.eye(4, dtype=complex)
-    for sub in _segment_unitaries_reference(cfg, m):
-        u = sub @ u
-    return u
+    return reduce(lambda u, sub: sub @ u, _segment_unitaries(cfg, m))
 
 
-def _triplet_coords(psi: np.ndarray) -> np.ndarray:
-    """Components of a 4-vector along {|00>, |phi+>, |11>}."""
-    return np.array(
-        [psi[0], (psi[1] + psi[2]) / math.sqrt(2), psi[3]], dtype=complex
-    )
+def _pure_populations(psi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """|<v_i|psi>|^2 for triplet eigenvector columns v_i over {|00>, |phi+>, |11>}."""
+    coords = np.array([psi[0], (psi[1] + psi[2]) / math.sqrt(2), psi[3]], dtype=complex)
+    return np.abs(vectors.conj().T @ coords) ** 2
+
+
+def _mixed_populations(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v_i|rho|v_i> for the same columns embedded in the 4-dimensional basis."""
+    pops = np.empty(3)
+    for i in range(3):
+        v = vectors[:, i]
+        v4 = v[0] * model.KET_00 + v[1] * model.PHI_PLUS + v[2] * model.KET_11
+        pops[i] = float(np.real(np.vdot(v4, rho @ v4)))
+    return pops
 
 
 def eigenpopulations(psi: np.ndarray, p: ModelParams) -> tuple[float, float, float]:
     """Squared overlaps with the instantaneous triplet eigenstates."""
-    sd = model.triplet_spectrum(p)
-    coords = _triplet_coords(psi)
-    pops = np.abs(sd.eigenvectors.conj().T @ coords) ** 2
+    pops = _pure_populations(psi, model.triplet_spectrum(p).eigenvectors)
     return float(pops[0]), float(pops[1]), float(pops[2])
 
 
@@ -240,12 +260,31 @@ def concurrence_mixed(rho: np.ndarray) -> float:
     return min(1.0, max(0.0, float(c)))
 
 
-def _observe(psi: np.ndarray, p: ModelParams, prev: np.ndarray | None):
-    sd = model.triplet_spectrum(p, prev=prev)
-    coords = _triplet_coords(psi)
-    pops = np.abs(sd.eigenvectors.conj().T @ coords) ** 2
-    overlap = float(pops[0])
-    return sd, overlap, pops
+def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, conc) -> ScanTrace:
+    """Boundary loop shared by the pure and the mixed scan.
+
+    ``advance(state, unitaries)`` carries the state across one segment,
+    ``populations(state, vectors)`` projects it onto the instantaneous
+    triplet eigenvectors (kept continuous from boundary to boundary) and
+    ``conc(state)`` gives its concurrence.
+    """
+    n = cfg.steps + 1
+    pops = np.empty((n, 3))
+    conc_col = np.empty(n)
+    prev = None
+    for j in range(n):
+        if j > 0:
+            state = advance(state, _segment_unitaries(cfg, j))
+        p_here = ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))
+        prev = model.triplet_spectrum(p_here, prev=prev).eigenvectors
+        pops[j] = populations(state, prev)
+        conc_col[j] = conc(state)
+    steps = np.arange(n)
+    return ScanTrace(
+        t=steps * cfg.delta, bz=cfg.b0 + steps * cfg.delta_b,
+        defect=np.clip(1.0 - pops[:, 0], 0.0, 1.0), overlap=pops[:, 0].copy(),
+        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc_col,
+    )
 
 
 def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
@@ -260,37 +299,12 @@ def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
     if abs(np.vdot(psi, psi).real - 1.0) > 1e-8:
         raise ValueError("initial state is not normalized")
 
-    n = cfg.steps + 1
-    t = np.empty(n)
-    bz = np.empty(n)
-    defect = np.empty(n)
-    overlap = np.empty(n)
-    pops = np.empty((n, 3))
-    conc = np.empty(n)
+    def advance(psi, unitaries):
+        for u in unitaries:
+            psi = u @ psi
+        return psi
 
-    prev_vectors = None
-    for j in range(n):
-        if j > 0:
-            if cfg.backend == "trotter":
-                p_seg = ModelParams(bx=cfg.bx, bz=cfg.segment_field(j))
-                psi = trotter_step(p_seg, cfg.delta) @ psi
-            else:
-                for u in _segment_unitaries_reference(cfg, j):
-                    psi = u @ psi
-        p_here = ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))
-        sd, f, pj = _observe(psi, p_here, prev_vectors)
-        prev_vectors = sd.eigenvectors
-        t[j] = j * cfg.delta
-        bz[j] = cfg.boundary_field(j)
-        overlap[j] = f
-        defect[j] = min(1.0, max(0.0, 1.0 - f))
-        pops[j] = pj
-        conc[j] = concurrence(psi)
-
-    return ScanTrace(
-        t=t, bz=bz, defect=defect, overlap=overlap,
-        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
-    )
+    return _run(cfg, psi, advance, _pure_populations, concurrence)
 
 
 def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
@@ -331,40 +345,18 @@ def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:
         raise ValueError("density matrix must have unit trace")
     mask = phase_damping_factors(cfg)
 
-    n = cfg.steps + 1
-    t = np.empty(n)
-    bz = np.empty(n)
-    defect = np.empty(n)
-    overlap = np.empty(n)
-    pops = np.empty((n, 3))
-    conc = np.empty(n)
+    def advance(rho, unitaries):
+        for u in unitaries:
+            rho = u @ rho @ u.conj().T
+        return rho * mask
 
-    prev_vectors = None
-    for j in range(n):
-        if j > 0:
-            if cfg.backend == "trotter":
-                p_seg = ModelParams(bx=cfg.bx, bz=cfg.segment_field(j))
-                u = trotter_step(p_seg, cfg.delta)
-                rho = u @ rho @ u.conj().T
-            else:
-                for u in _segment_unitaries_reference(cfg, j):
-                    rho = u @ rho @ u.conj().T
-            rho = rho * mask
-        p_here = ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))
-        sd = model.triplet_spectrum(p_here, prev=prev_vectors)
-        prev_vectors = sd.eigenvectors
-        for i in range(3):
-            v = sd.eigenvectors[:, i]
-            v4 = v[0] * model.KET_00 + v[1] * model.PHI_PLUS + v[2] * model.KET_11
-            pops[j, i] = float(np.real(np.vdot(v4, rho @ v4)))
-        f = pops[j, 0]
-        t[j] = j * cfg.delta
-        bz[j] = cfg.boundary_field(j)
-        overlap[j] = f
-        defect[j] = min(1.0, max(0.0, 1.0 - f))
-        conc[j] = concurrence_mixed(rho)
+    return _run(cfg, rho, advance, _mixed_populations, concurrence_mixed)
 
-    return ScanTrace(
-        t=t, bz=bz, defect=defect, overlap=overlap,
-        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
-    )
+
+def scan(cfg: SweepConfig) -> ScanTrace:
+    """Scan started in the ground state at b0: a density-matrix run with
+    dephasing when ``cfg.t2`` is set, a pure-state run otherwise."""
+    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
+    if cfg.t2 is None:
+        return propagate(cfg, start)
+    return dephase_propagate(cfg, np.outer(start, start.conj()))

@@ -36,7 +36,6 @@ IDEAL_K_VALUES = tuple(float(k) for k in np.exp(np.linspace(math.log(0.125), 0.0
 EXPERIMENT_K_VALUES = (1.0, 0.5, 1.0 / 3.0, 0.25)
 EXPERIMENT_BX_VALUES = (0.1, 0.2)
 T2_DEFAULT = (2.0, 0.2)
-DF_SAMPLE_BZ = -0.2
 _FIT_EXCLUDE_BELOW = 1e-6
 
 
@@ -177,38 +176,17 @@ def fit_scaling(points) -> tuple[float, float]:
     return -slope, r
 
 
-def run_scaling_sweep(
-    bx_values,
-    k_values,
-    backend: str = "reference",
-    b0: float = -1.5,
-    bz_end: float = DF_SAMPLE_BZ,
-    delta_b: float = 0.1,
-    t2: tuple[float, float] | None = None,
-    j_hz: float = 215.0,
-) -> ScalingFit:
+def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     """One scan per (bx, k) pair; defect sampled at the end of the window.
 
-    The points are pooled into a single fit, so call once per transverse
-    field for per-field estimates or with both fields for the pooled
-    experimental-grid estimate.
+    ``options`` go to ``SweepConfig.from_rate``, whose default window ends
+    at bz = -0.2.  The points are pooled into a single fit, so call once per
+    transverse field for per-field estimates or with both fields for the
+    pooled experimental-grid estimate.
     """
-    pts = []
-    for bx in bx_values:
-        for k in k_values:
-            cfg = SweepConfig.from_rate(
-                bx, k, b0=b0, bz_end=bz_end, delta_b=delta_b,
-                backend=backend, t2=t2, j_hz=j_hz,
-            )
-            x = quench_time(bx, k) / tau0(bx)
-            start = model.ground_vector(ModelParams(bx=bx, bz=b0))
-            if t2 is not None:
-                rho0 = np.outer(start, start.conj())
-                trace = evolve.dephase_propagate(cfg, rho0)
-            else:
-                trace = evolve.propagate(cfg, start)
-            pts.append((x, trace.final_defect))
-    pts.sort()
+    cfgs = [SweepConfig.from_rate(bx, k, **options) for bx in bx_values for k in k_values]
+    pts = sorted((quench_time(c.bx, c.k) / tau0(c.bx), evolve.scan(c).final_defect)
+                 for c in cfgs)
     alpha_hat, r = fit_scaling(pts)
     return ScalingFit(
         points=tuple(pts),
@@ -216,7 +194,7 @@ def run_scaling_sweep(
         r=r,
         n_points=len(pts),
         bx_values=tuple(bx_values),
-        backend=backend,
+        backend=cfgs[0].backend,
     )
 
 
@@ -276,8 +254,7 @@ def _fig_tau(bx: float = 0.1):
 def _fig_populations():
     rows = []
     for k in (1.0, 0.05):
-        cfg = SweepConfig.from_rate(0.1, k, b0=-2.0, bz_end=2.0)
-        trace = evolve.propagate(cfg, model.ground_vector(ModelParams(0.1, -2.0)))
+        trace = evolve.scan(SweepConfig.from_rate(0.1, k, b0=-2.0, bz_end=2.0))
         for i in range(len(trace)):
             rows.append((k, trace.t[i], trace.bz[i], trace.a0[i],
                          trace.a1[i], trace.a2[i], trace.defect[i]))
@@ -289,23 +266,18 @@ def _fig_defect_curves():
     for bx in EXPERIMENT_BX_VALUES:
         for k in EXPERIMENT_K_VALUES:
             for backend in ("reference", "trotter"):
-                cfg = SweepConfig.from_rate(bx, k, b0=-1.5, bz_end=0.0, backend=backend)
-                trace = evolve.propagate(cfg, model.ground_vector(ModelParams(bx, -1.5)))
+                trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend))
                 for i in range(len(trace)):
                     rows.append((bx, k, backend, trace.t[i], trace.bz[i], trace.defect[i]))
-        cfg = SweepConfig.from_rate(bx, 0.25, b0=-1.5, bz_end=0.0,
-                                    backend="trotter", t2=T2_DEFAULT)
-        start = model.ground_vector(ModelParams(bx, -1.5))
-        trace = evolve.dephase_propagate(cfg, np.outer(start, start.conj()))
+        trace = evolve.scan(SweepConfig.from_rate(bx, 0.25, bz_end=0.0,
+                                                  backend="trotter", t2=T2_DEFAULT))
         for i in range(len(trace)):
             rows.append((bx, 0.25, "trotter-t2", trace.t[i], trace.bz[i], trace.defect[i]))
     return rows
 
 
 def _scaling_point(bx: float, k: float, backend: str) -> tuple[float, float]:
-    cfg = SweepConfig.from_rate(bx, k, b0=-1.5, bz_end=DF_SAMPLE_BZ, backend=backend)
-    start = model.ground_vector(ModelParams(bx=bx, bz=-1.5))
-    trace = evolve.propagate(cfg, start)
+    trace = evolve.scan(SweepConfig.from_rate(bx, k, backend=backend))
     return quench_time(bx, k) / tau0(bx), trace.final_defect
 
 
@@ -326,8 +298,7 @@ def _fig_concurrence():
     rows = []
     for bx in EXPERIMENT_BX_VALUES:
         for k in (1.0, 0.1, 1.0 / 30.0):
-            cfg = SweepConfig.from_rate(bx, k, b0=-1.5, bz_end=1.5)
-            trace = evolve.propagate(cfg, model.ground_vector(ModelParams(bx, -1.5)))
+            trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=1.5))
             for i in range(len(trace)):
                 rows.append((bx, k, trace.bz[i], trace.concurrence[i], trace.defect[i]))
     return rows

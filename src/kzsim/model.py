@@ -80,11 +80,6 @@ class GroundState:
         return self.c0 * KET_00 + self.cplus * PHI_PLUS + self.c1 * KET_11
 
 
-def ising_hamiltonian(bz: float) -> np.ndarray:
-    """Bare Ising Hamiltonian (bx = 0), a 4x4 diagonal matrix."""
-    return driven_hamiltonian(ModelParams(bx=0.0, bz=bz))
-
-
 def driven_hamiltonian(p: ModelParams) -> np.ndarray:
     """Full 4x4 Hamiltonian including the transverse field."""
     return p.bx * X1X2 + p.bz * Z1Z2_SUM + ZZ

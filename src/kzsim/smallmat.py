@@ -1,11 +1,11 @@
 """Dense complex linear algebra for Hermitian matrices of dimension 2 to 4.
 
 Everything the sweep machinery needs from linear algebra lives here:
-eigendecomposition, unitary exponentials exp(-i*delta*H), matrix-vector
-application and inner products.  The eigensolver is a cyclic complex Jacobi
-iteration, which at these dimensions converges to machine precision in a
-handful of sweeps and is deterministic across platforms, so golden files
-built on top of it are stable.
+eigendecomposition and unitary exponentials exp(-i*delta*H).  The
+eigensolver is a cyclic complex Jacobi iteration, which at these dimensions
+converges to machine precision in a handful of sweeps and does not depend on
+LAPACK, so golden files built on top of it are stable for a given numpy and
+platform libm.
 
 All functions are pure; matrices and vectors are plain numpy arrays and are
 never mutated in place.
@@ -180,21 +180,3 @@ def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:
     sd = hermitian_eig(h)
     phases = np.exp(-1j * delta * sd.eigenvalues)
     return (sd.eigenvectors * phases) @ sd.eigenvectors.conj().T
-
-
-def apply(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with a dimension check."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if u.ndim != 2 or u.shape[1] != psi.shape[0]:
-        raise DimensionMismatch(f"cannot apply {u.shape} to vector of length {psi.shape[0]}")
-    return u @ psi
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian inner product <a|b> (conjugates the first argument)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))

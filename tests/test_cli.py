@@ -46,6 +46,10 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["scan", "--k", "0"]) == 3
     assert cli.main(["nonsense"]) == 2
     assert cli.main(["scan", "--nope"]) == 2
+    for argv in (["scan", "--delta-b", "0"], ["schedule", "--delta-b", "0"],
+                 ["scan", "--delta-b", "nan"], ["scan", "--b0", "nan"],
+                 ["scan", "--j-hz", "nan", "--t2", "2,0.2"]):
+        assert cli.main(argv) == 3, argv
 
 
 def test_scan_writes_trace(tmp_path, monkeypatch):

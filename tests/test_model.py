@@ -7,8 +7,8 @@ from kzsim import model
 from kzsim.errors import DegenerateGround, GapClosed, InvalidParam
 from kzsim.model import (ModelParams, PHI_MINUS, SWAP, driven_hamiltonian,
                          effective_hamiltonian, effective_relaxation_time,
-                         ground_state, ground_vector, ising_hamiltonian,
-                         relaxation_time, triplet_block, triplet_spectrum)
+                         ground_state, ground_vector, relaxation_time,
+                         triplet_block, triplet_spectrum)
 
 from oracles import cardano_eigvals3
 
@@ -28,10 +28,14 @@ def triplet_eigs(h4):
     return np.linalg.eigvalsh(block)
 
 
+def ising(bz):
+    return driven_hamiltonian(ModelParams(bx=0.0, bz=bz))
+
+
 def test_ising_levels():
-    assert np.allclose(triplet_eigs(ising_hamiltonian(0.0)), [-1, 1, 1])
-    assert np.allclose(triplet_eigs(ising_hamiltonian(-1.0)), [-1, -1, 3])
-    h = ising_hamiltonian(2.0)
+    assert np.allclose(triplet_eigs(ising(0.0)), [-1, 1, 1])
+    assert np.allclose(triplet_eigs(ising(-1.0)), [-1, -1, 3])
+    h = ising(2.0)
     w, v = np.linalg.eigh(h)
     assert w[0] == pytest.approx(-3.0)
     assert abs(v[3, 0]) ** 2 == pytest.approx(1.0)
@@ -40,7 +44,7 @@ def test_ising_levels():
 def test_driven_reduces_to_ising():
     for bz in (-2.0, -0.3, 1.7):
         assert np.array_equal(driven_hamiltonian(ModelParams(0.0, bz)),
-                              ising_hamiltonian(bz))
+                              np.diag([1 + 2 * bz, -1, -1, 1 - 2 * bz]))
 
 
 def test_driven_ground_overlap():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kzsim.errors import DimensionMismatch, NonHermitianInput
 from kzsim.model import ModelParams, triplet_block
-from kzsim.smallmat import apply, hermitian_eig, inner, unitary_step
+from kzsim.smallmat import hermitian_eig, unitary_step
 
 from oracles import cardano_eigvals3, cardano_eigvec3, random_hermitian, series_expm_minus_i
 
@@ -107,18 +107,6 @@ def test_unitary_step_against_series():
     g = sd.eigenvectors[:, 0]
     expected = np.exp(-1j * 0.1 * sd.eigenvalues[0]) * g
     assert np.max(np.abs(u @ g - expected)) < 1e-12
-
-
-def test_apply_and_inner_basics():
-    psi = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(apply(np.eye(4, dtype=complex), psi), psi)
-    assert inner(psi, psi) == pytest.approx(1.0)
-    phi_plus = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    assert inner(psi, phi_plus) == pytest.approx(0.0)
-    with pytest.raises(DimensionMismatch):
-        apply(np.eye(3, dtype=complex), psi)
-    with pytest.raises(DimensionMismatch):
-        inner(psi, np.zeros(3, dtype=complex))
 
 
 @settings(max_examples=60, deadline=None)
