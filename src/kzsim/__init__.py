@@ -8,8 +8,8 @@ law.  See the README for the command-line entry points.
 
 from .errors import (ConfigInconsistent, DegenerateGround, DimensionMismatch,
                      GapClosed, IndexOutOfRange, InvalidParam, InvalidT2,
-                     KzsimError, NonHermitianInput, NoValidBranch,
-                     UnknownFigure)
+                     KzsimError, NoConvergence, NonHermitianInput,
+                     NoValidBranch, UnknownFigure, WorkLimitExceeded)
 from .evolve import (ScanTrace, SweepConfig, concurrence, concurrence_mixed,
                      defect_density, dephase_propagate, eigenpopulations,
                      propagate, ramp, scan, trotter_step)

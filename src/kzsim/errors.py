@@ -32,6 +32,10 @@ class GapClosed(KzsimError):
     """Energy gap too small to define a relaxation time."""
 
 
+class NoConvergence(KzsimError):
+    """An iterative eigensolver did not converge within its sweep limit."""
+
+
 class ConfigInconsistent(_InvalidConfiguration):
     """Sweep configuration violates the ramp consistency invariant."""
 
@@ -50,6 +54,10 @@ class NoValidBranch(KzsimError):
 
 class InvalidParam(_InvalidConfiguration):
     """Parameter outside its admissible range."""
+
+
+class WorkLimitExceeded(_InvalidConfiguration):
+    """A run would take more propagator steps than the work limit allows."""
 
 
 class UnknownFigure(_InvalidConfiguration):

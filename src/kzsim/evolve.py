@@ -7,7 +7,9 @@ observables at every segment boundary.  Two backends share the segment grid:
   every segment into substeps of at most 0.01 time units and applying the
   exact exponential of the Hamiltonian evaluated at the substep midpoint.
   Halving the substep moves final defect densities by well under 1e-4, which
-  is how convergence to the continuous limit is demonstrated.
+  is how convergence to the continuous limit is demonstrated.  The substep
+  exponentials of a scan are computed as stacks of SUBSTEP_CHUNK matrices
+  and applied one at a time, in order.
 * ``trotter`` emulates the discretized experimental protocol: one split step
   per segment, with the field sampled at the segment's end point (segment m
   runs at bz_m = b0 + m * delta_b, matching the pulse-sequence offsets).
@@ -33,11 +35,16 @@ from functools import reduce
 import numpy as np
 
 from . import model
-from .errors import ConfigInconsistent, InvalidT2
+from .errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from .model import ModelParams, SIGMA_Y
 from .smallmat import hermitian_eig, unitary_step
 
 REFERENCE_SUBSTEP = 0.01
+# substep Hamiltonians diagonalized per call; bounds the memory of a stack
+SUBSTEP_CHUNK = 256
+# most propagator steps one run may take (segments x substeps); fig5's
+# slowest scan takes 9000
+MAX_SUBSTEPS = 1_000_000
 BACKENDS = ("reference", "trotter")
 # experimental settings, the defaults of every sweep and of the command line
 B0 = -1.5
@@ -66,7 +73,8 @@ class SweepConfig:
     ``k`` is the scan rate, ``delta`` the segment duration and ``steps`` the
     number of segments, tied together by k * delta * steps = bz_end - b0.
     ``t2`` optionally holds the two transverse relaxation times in seconds,
-    converted to per-segment decay using the coupling ``j_hz`` in Hz.
+    converted to per-segment decay using the coupling ``j_hz`` in Hz.  A
+    scan of more than MAX_SUBSTEPS propagator steps is refused.
     """
 
     bx: float
@@ -91,6 +99,12 @@ class SweepConfig:
             raise ConfigInconsistent(
                 f"ramp inconsistent: k*delta*steps = {self.k * self.delta * self.steps}"
                 f" but bz_end - b0 = {span}"
+            )
+        nsub = _substeps(self)
+        if self.steps * nsub > MAX_SUBSTEPS:
+            raise WorkLimitExceeded(
+                f"scan needs {self.steps * nsub} propagator steps ({self.steps}"
+                f" segments x {nsub}), above the limit of {MAX_SUBSTEPS}"
             )
 
     @property
@@ -191,25 +205,47 @@ def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
     return uz @ ux
 
 
-def _segment_unitaries(cfg: SweepConfig, m: int) -> list[np.ndarray]:
-    """Propagators of segment m (1-based) in the order they act: the one
-    trotter step, or the reference backend's midpoint substeps."""
+def _substeps(cfg: SweepConfig) -> int:
+    """Propagators per segment: the midpoint substeps of the reference
+    backend, or the one trotter step."""
     if cfg.backend == "trotter":
-        return [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta)]
-    nsub = max(1, math.ceil(cfg.delta / REFERENCE_SUBSTEP))
+        return 1
+    return max(1, math.ceil(cfg.delta / REFERENCE_SUBSTEP))
+
+
+def _midpoint_steps(hamiltonians, start: int, stop: int, h: float):
+    """exp(-i h H) for substeps start..stop-1 in order, where
+    ``hamiltonians(i)`` gives the stack of H for an array of substep
+    indices; built and diagonalized SUBSTEP_CHUNK matrices at a time."""
+    for lo in range(start, stop, SUBSTEP_CHUNK):
+        yield from unitary_step(hamiltonians(np.arange(lo, min(lo + SUBSTEP_CHUNK, stop))), h)
+
+
+def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None):
+    """Yield, for each segment m = first..last (1-based; all by default),
+    its propagators in the order they act: the one trotter step, or the
+    reference backend's midpoint substeps."""
+    last = cfg.steps if last is None else last
+    if cfg.backend == "trotter":
+        for m in range(first, last + 1):
+            yield [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta)]
+        return
+    nsub = _substeps(cfg)
     h = cfg.delta / nsub
-    t0 = (m - 1) * cfg.delta
-    out = []
-    for i in range(nsub):
-        bz = ramp(cfg.b0, cfg.k, t0 + (i + 0.5) * h)
-        ham = model.driven_hamiltonian(ModelParams(bx=cfg.bx, bz=bz))
-        out.append(unitary_step(ham, h))
-    return out
+
+    def hamiltonians(i):
+        seg, sub = np.divmod(i, nsub)  # seg = m - 1
+        t = seg * cfg.delta + (sub + 0.5) * h
+        return model.driven_hamiltonian(ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t)))
+
+    steps = _midpoint_steps(hamiltonians, (first - 1) * nsub, last * nsub, h)
+    for _ in range(first, last + 1):
+        yield [next(steps) for _ in range(nsub)]
 
 
 def segment_unitary(cfg: SweepConfig, m: int) -> np.ndarray:
     """Full propagator of segment m (1-based) for the configured backend."""
-    return reduce(lambda u, sub: sub @ u, _segment_unitaries(cfg, m))
+    return reduce(lambda u, sub: sub @ u, next(_segment_unitaries(cfg, m, m)))
 
 
 def _pure_populations(psi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -272,9 +308,10 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, conc) -> Sca
     pops = np.empty((n, 3))
     conc_col = np.empty(n)
     prev = None
+    segments = _segment_unitaries(cfg)
     for j in range(n):
         if j > 0:
-            state = advance(state, _segment_unitaries(cfg, j))
+            state = advance(state, next(segments))
         p_here = ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))
         prev = model.triplet_spectrum(p_here, prev=prev).eigenvectors
         pops[j] = populations(state, prev)

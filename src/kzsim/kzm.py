@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, model
-from .errors import InvalidParam, UnknownFigure
+from .errors import InvalidParam, UnknownFigure, WorkLimitExceeded
 from .evolve import SweepConfig
 from .model import ModelParams
-from .smallmat import hermitian_eig, unitary_step
+from .smallmat import hermitian_eig
 
 # grid of scan rates for the smooth-model scaling fits; log-spaced and wider
 # than the experimental 1/4..1 window so the fit is not dominated by the
@@ -203,20 +203,27 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     linear-crossing formula exp(-2 pi bx^2 / k).
 
     The detuning bz + 1 runs from -10 sqrt(2) bx to +10 sqrt(2) bx at rate k,
-    integrated with midpoint substeps of at most 0.01 time units.
+    integrated with midpoint substeps of at most 0.01 time units; more than
+    evolve.MAX_SUBSTEPS of them are refused.
     """
-    if bx <= 0 or k <= 0:
-        raise InvalidParam(f"need bx > 0 and k > 0, got bx={bx}, k={k}")
+    if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
+        raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
     half_window = 10.0 * math.sqrt(2) * bx
     z0 = -1.0 - half_window
     total = 2.0 * half_window / k
     n = max(1, math.ceil(total / evolve.REFERENCE_SUBSTEP))
+    if n > evolve.MAX_SUBSTEPS:
+        raise WorkLimitExceeded(
+            f"lz-check needs {n} substeps, above the limit of {evolve.MAX_SUBSTEPS}")
     h = total / n
     sd = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z0)))
     psi = sd.eigenvectors[:, 0]
-    for i in range(n):
-        bz = z0 + k * (i + 0.5) * h
-        psi = unitary_step(model.effective_hamiltonian(ModelParams(bx=bx, bz=bz)), h) @ psi
+
+    def hamiltonians(i):
+        return model.effective_hamiltonian(ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h))
+
+    for u in evolve._midpoint_steps(hamiltonians, 0, n, h):
+        psi = u @ psi
     z1 = z0 + k * total
     sd = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z1)))
     p_numeric = float(abs(np.vdot(sd.eigenvectors[:, 1], psi)) ** 2)

@@ -50,13 +50,21 @@ _PHASE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Transverse field bx >= 0 and control field bz, both in coupling units."""
+    """Transverse field bx >= 0 and control field bz, both in coupling units.
+
+    ``bz`` may also be a 1-D array of fields; ``driven_hamiltonian`` and
+    ``effective_hamiltonian`` then return one matrix per field as a stack.
+    """
 
     bx: float
-    bz: float
+    bz: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bx) and math.isfinite(self.bz)):
+        if isinstance(self.bz, np.ndarray):
+            bz_finite = self.bz.ndim == 1 and bool(np.all(np.isfinite(self.bz)))
+        else:
+            bz_finite = math.isfinite(self.bz)
+        if not (math.isfinite(self.bx) and bz_finite):
             raise InvalidParam("fields must be finite")
         if self.bx < 0:
             raise InvalidParam(f"transverse field must be >= 0, got {self.bx}")
@@ -80,9 +88,15 @@ class GroundState:
         return self.c0 * KET_00 + self.cplus * PHI_PLUS + self.c1 * KET_11
 
 
+def _per_matrix(field):
+    """An array of fields as (N, 1, 1), so that it scales a matrix into a
+    stack; a single field as it is."""
+    return field[:, None, None] if isinstance(field, np.ndarray) else field
+
+
 def driven_hamiltonian(p: ModelParams) -> np.ndarray:
     """Full 4x4 Hamiltonian including the transverse field."""
-    return p.bx * X1X2 + p.bz * Z1Z2_SUM + ZZ
+    return p.bx * X1X2 + _per_matrix(p.bz) * Z1Z2_SUM + ZZ
 
 
 def triplet_block(p: ModelParams) -> np.ndarray:
@@ -100,7 +114,7 @@ def triplet_block(p: ModelParams) -> np.ndarray:
 
 def effective_hamiltonian(p: ModelParams) -> np.ndarray:
     """Two-level reduction around the bz = -1 crossing."""
-    return (p.bz + 1.0) * SIGMA_Z + math.sqrt(2) * p.bx * SIGMA_X
+    return _per_matrix(p.bz + 1.0) * SIGMA_Z + math.sqrt(2) * p.bx * SIGMA_X
 
 
 def triplet_spectrum(p: ModelParams, prev: np.ndarray | None = None) -> SpectralData:

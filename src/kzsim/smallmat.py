@@ -7,6 +7,12 @@ converges to machine precision in a handful of sweeps and does not depend on
 LAPACK, so golden files built on top of it are stable for a given numpy and
 platform libm.
 
+Both public functions also take a stack (N, n, n), in the style of
+numpy.linalg.  A stack runs the same Jacobi vectorized over its members, on
+separate real and imaginary arrays that repeat numpy's complex scalar
+arithmetic operation for operation, so every member gets the bits a call on
+that matrix alone would give.
+
 All functions are pure; matrices and vectors are plain numpy arrays and are
 never mutated in place.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import DimensionMismatch, NoConvergence, NonHermitianInput
 
 HERMITIAN_TOL = 1e-12
 # off-diagonal Frobenius norm at which the Jacobi iteration stops
@@ -34,7 +40,8 @@ class SpectralData:
 
     ``eigenvectors`` holds orthonormal columns; ``gap`` is the splitting
     between the two lowest levels and ``tau`` its inverse (the relaxation
-    time when the matrix is a Hamiltonian in units of the coupling).
+    time when the matrix is a Hamiltonian in units of the coupling).  For a
+    stack every field gains a leading axis over its members.
     """
 
     eigenvalues: np.ndarray
@@ -45,9 +52,10 @@ class SpectralData:
 
 def _check_matrix(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
     if not 2 <= n <= 4:
         raise DimensionMismatch(f"dimension {n} outside the supported range 2..4")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -55,11 +63,19 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _no_convergence(n: int) -> NoConvergence:
+    return NoConvergence(
+        f"Jacobi iteration on a {n}x{n} matrix did not converge in"
+        f" {_JACOBI_MAX_SWEEPS} sweeps")
+
+
 def _jacobi(a: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
     """Cyclic Jacobi on a Hermitian matrix given as nested lists.
 
     Returns eigenvalues (unsorted) and the accumulated unitary V as rows of
-    components, i.e. eigenvector i is [V[0][i], V[1][i], ...].
+    components, i.e. eigenvector i is [V[0][i], V[1][i], ...].  Raises
+    NoConvergence when the off-diagonal norm is still above JACOBI_TOL
+    after _JACOBI_MAX_SWEEPS sweeps.
     """
     n = len(a)
     v = [[1.0 + 0j if i == j else 0.0 + 0j for j in range(n)] for i in range(n)]
@@ -101,8 +117,77 @@ def _jacobi(a: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
                     viq = v[i][q]
                     v[i][p] = c * vip - sc * viq
                     v[i][q] = s * vip + c * viq
+    else:
+        raise _no_convergence(n)
     w = [a[i][i].real for i in range(n)]
     return w, v
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as numpy's complex scalar product computes it;
+    a real factor r enters as r + 0i."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _rotate(re, im, ip, iq, c, sr, si, do) -> None:
+    """(x, y) <- (c x - conj(s) y, s x + c y) for real c and s = sr + i si,
+    on the slices ip, iq of the real and imaginary parts, where ``do``
+    (everywhere when ``do`` is None)."""
+    xr, xi, yr, yi = re[ip], im[ip], re[iq], im[iq]
+    cxr, cxi = _mul(c, 0.0, xr, xi)
+    cyr, cyi = _mul(c, 0.0, yr, yi)
+    syr, syi = _mul(sr, -si, yr, yi)
+    sxr, sxi = _mul(sr, si, xr, xi)
+    new = ((re, ip, cxr - syr), (im, ip, cxi - syi), (re, iq, sxr + cyr), (im, iq, sxi + cyi))
+    for part, idx, value in new:
+        part[idx] = value if do is None else np.where(do, value, part[idx])
+
+
+def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_jacobi`` on every member of a stack (N, n, n) at once, same bits.
+
+    Each member stops rotating once it has converged, and an element below
+    1e-300 is skipped, as in the scalar loop.  Returns eigenvalues (N, n),
+    unsorted, and the accumulated unitaries (N, n, n).
+    """
+    size, n = a.shape[0], a.shape[-1]
+    # members on the last axis; rows 0..n-1 hold the matrix, rows n..2n-1
+    # the accumulated V, whose columns rotate with the matrix's
+    re, im = np.zeros((2 * n, n, size)), np.zeros((2 * n, n, size))
+    re[:n], im[:n] = np.moveaxis(a.real, 0, -1), np.moveaxis(a.imag, 0, -1)
+    re[n:] = np.eye(n)[:, :, None]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    active = np.ones(size, dtype=bool)
+    tol2 = JACOBI_TOL * JACOBI_TOL
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p, q in pairs:
+            off = off + (re[p, q] * re[p, q] + im[p, q] * im[p, q])
+        active &= ~(off <= tol2)
+        if not active.any():
+            break
+        for p, q in pairs:
+            xr, xi = re[p, q], im[p, q]
+            mag = np.hypot(xr, xi)
+            do = active & ~(mag < 1e-300)
+            mag = np.where(do, mag, 1.0)
+            # phase = apq / mag, numpy's complex division by mag + 0i
+            rat = 0.0 / mag
+            scl = 1.0 / (mag + 0.0 * rat)
+            pr, pi = (xr + xi * rat) * scl, (xi - xr * rat) * scl
+            tau = (re[q, q] - re[p, p]) / (2.0 * mag)
+            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sr, si = _mul(t * c, 0.0, pr, pi)
+            do = None if do.all() else do
+            _rotate(re, im, (slice(None), p), (slice(None), q), c, sr, si, do)
+            _rotate(re, im, p, q, c, sr, -si, do)
+    else:
+        if active.any():
+            raise _no_convergence(n)
+    v = np.empty(a.shape, dtype=complex)
+    v.real, v.imag = np.moveaxis(re[n:], -1, 0), np.moveaxis(im[n:], -1, 0)
+    return re[range(n), range(n)].T, v
 
 
 def _order_with_clusters(w: np.ndarray, v: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -138,45 +223,73 @@ def _order_with_clusters(w: np.ndarray, v: np.ndarray, prev: np.ndarray | None) 
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real and positive."""
-    out = v.copy()
-    for j in range(v.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        ref = col[i]
-        if abs(ref) > 0:
-            out[:, j] = col * (ref.conjugate() / abs(ref))
-    return out
+    """Make the largest-magnitude component of each column real and positive
+    (columns of the last axis; v may be a stack).  The columns are those of
+    a unitary, so none is zero."""
+    row = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    ref = np.take_along_axis(v, row, axis=-2)
+    # |ref| as the scalar abs() computes it, which np.abs does not
+    return v * (ref.conj() / np.hypot(ref.real, ref.imag))
+
+
+def _eig_single(sym: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    w_raw, v_raw = _jacobi([list(row) for row in sym])
+    w, v = _order_with_clusters(np.array(w_raw, dtype=float),
+                                np.array(v_raw, dtype=complex), prev)
+    return w, _fix_phases(v)
+
+
+def _eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eig_single`` on every member; a member with a degenerate cluster
+    is ordered by the single-matrix rule for clusters."""
+    w_raw, v_raw = _jacobi_stack(sym)
+    order = np.argsort(w_raw, axis=-1, kind="stable")
+    w = np.take_along_axis(w_raw, order, axis=-1)
+    v = np.take_along_axis(v_raw, order[:, None, :], axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    clustered = np.any(np.abs(np.diff(w, axis=-1)) <= DEGENERACY_TOL * scale[:, None], axis=-1)
+    for i in np.flatnonzero(clustered):
+        w[i], v[i] = _order_with_clusters(w_raw[i], v_raw[i], None)
+    return w, _fix_phases(v)
 
 
 def hermitian_eig(m: np.ndarray, prev: np.ndarray | None = None) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix of dimension 2..4.
+    """Eigendecomposition of a Hermitian matrix of dimension 2..4, or of
+    each matrix of a stack (N, n, n).
 
     ``prev`` optionally carries the eigenvector columns from a neighbouring
     parameter point; it only matters when eigenvalues are degenerate, where
-    it keeps the returned order continuous along a sweep.
+    it keeps the returned order continuous along a sweep.  It applies to a
+    single matrix only.
 
-    Raises NonHermitianInput when max|M - M^dag| exceeds 1e-12.
+    Raises NonHermitianInput when max|M - M^dag| exceeds 1e-12 (for any
+    member of a stack) and NoConvergence when the Jacobi iteration stalls.
     """
     a = _check_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    herm = np.swapaxes(a.conj(), -1, -2)
+    defect = float(np.max(np.abs(a - herm), initial=0.0))
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
-    sym = (a + a.conj().T) / 2.0
-    w_raw, v_raw = _jacobi([list(row) for row in sym])
-    w = np.array(w_raw, dtype=float)
-    v = np.array(v_raw, dtype=complex)
-    w, v = _order_with_clusters(w, v, prev)
-    v = _fix_phases(v)
-    gap = float(w[1] - w[0])
-    tau = 1.0 / gap if gap > 0.0 else math.inf
+    sym = (a + herm) / 2.0
+    if a.ndim == 2:
+        w, v = _eig_single(sym, prev)
+        gap = float(w[1] - w[0])
+        tau = 1.0 / gap if gap > 0.0 else math.inf
+    else:
+        if prev is not None:
+            raise DimensionMismatch("prev applies to a single matrix, not to a stack")
+        w, v = _eig_stack(sym)
+        gap = w[:, 1] - w[:, 0]
+        tau = np.divide(1.0, gap, out=np.full(gap.shape, math.inf), where=gap > 0.0)
     return SpectralData(eigenvalues=w, eigenvectors=v, gap=gap, tau=tau)
 
 
 def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:
-    """exp(-i * delta * h) for Hermitian h, via eigendecomposition."""
+    """exp(-i * delta * h) for Hermitian h, or for each matrix of a stack
+    (N, n, n), via eigendecomposition."""
     if not math.isfinite(delta):
         raise ValueError(f"time step must be finite, got {delta}")
     sd = hermitian_eig(h)
     phases = np.exp(-1j * delta * sd.eigenvalues)
-    return (sd.eigenvectors * phases) @ sd.eigenvectors.conj().T
+    v = sd.eigenvectors
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

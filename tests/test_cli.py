@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kzsim import cli
+from kzsim import cli, smallmat
 from kzsim.errors import UsageError, ValidationError
 
 
@@ -48,8 +48,27 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["scan", "--nope"]) == 2
     for argv in (["scan", "--delta-b", "0"], ["schedule", "--delta-b", "0"],
                  ["scan", "--delta-b", "nan"], ["scan", "--b0", "nan"],
-                 ["scan", "--j-hz", "nan", "--t2", "2,0.2"]):
+                 ["scan", "--j-hz", "nan", "--t2", "2,0.2"],
+                 ["scan", "--k", "1e-6"], ["scan", "--bz-end", "1e6"],
+                 ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"]):
         assert cli.main(argv) == 3, argv
+
+
+def test_unbounded_work_refused_with_count(tmp_path, monkeypatch, capsys):
+    for argv, count in ((["scan", "--k", "1e-6"], "130000013 propagator steps"),
+                        (["scan", "--bz-end", "1e6"], "100000150 propagator steps"),
+                        (["lz-check", "--k", "1e-6"], "282842713 substeps")):
+        assert run(argv, tmp_path, monkeypatch) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and count in err, err
+        assert "1000000" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_jacobi_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", 1)
+    assert run(["lz-check"], tmp_path, monkeypatch) == 3
+    assert capsys.readouterr().err.startswith("error: Jacobi iteration")
 
 
 def test_scan_writes_trace(tmp_path, monkeypatch):

@@ -1,15 +1,17 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from kzsim import evolve, model
-from kzsim.errors import ConfigInconsistent, InvalidT2
+from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
                           concurrence_mixed, defect_density,
                           dephase_propagate, eigenpopulations, propagate,
                           ramp, segment_unitary, trotter_step)
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
+from kzsim.smallmat import unitary_step
 
 from oracles import series_expm_minus_i
 
@@ -168,6 +170,39 @@ def test_triplet_confinement():
             psi = segment_unitary(cfg, m) @ psi
             assert abs(np.vdot(PHI_MINUS, psi)) ** 2 <= 1e-12
             assert abs(np.vdot(psi, psi).real - 1) < 1e-10
+
+
+def test_segment_unitary_matches_single_substeps():
+    cfg = SweepConfig.from_rate(0.1, 1 / 3)
+    m = 5
+    nsub = math.ceil(cfg.delta / evolve.REFERENCE_SUBSTEP)
+    h = cfg.delta / nsub
+    subs = [unitary_step(model.driven_hamiltonian(ModelParams(
+                bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, (m - 1) * cfg.delta + (i + 0.5) * h))), h)
+            for i in range(nsub)]
+    assert segment_unitary(cfg, m).tobytes() == reduce(lambda u, s: s @ u, subs).tobytes()
+
+
+def test_chunking_keeps_bits(monkeypatch):
+    cfg = SweepConfig.from_rate(0.2, 0.25)  # 13 segments of 40 substeps
+    g = start_state(0.2, -1.5)
+    expected = propagate(cfg, g)
+    u7 = segment_unitary(cfg, 7)
+    # chunks shorter than a segment, and straddling segment boundaries
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
+    trace = propagate(cfg, g)
+    for name in ("defect", "a1", "a2", "concurrence"):
+        assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
+    assert segment_unitary(cfg, 7).tobytes() == u7.tobytes()
+
+
+def test_work_limit():
+    with pytest.raises(WorkLimitExceeded, match="13 segments x 10000001"):
+        SweepConfig.from_rate(0.1, 1e-6)
+    with pytest.raises(WorkLimitExceeded):
+        SweepConfig.from_rate(0.1, 1.0, bz_end=1e6, backend="trotter")
+    # fig5's slowest scan, 30 segments of 300 substeps, is well inside
+    SweepConfig.from_rate(0.1, 1 / 30, bz_end=1.5)
 
 
 def test_grid_refinement(monkeypatch):

@@ -2,8 +2,10 @@
 
 Every artifact below is regenerated through ``cli.main`` and its sha256
 compared with ``golden/sha256.txt``; commands that print a summary also pin
-their stdout.  The slow reference artifacts (``figure fig1c/fig4/fig5`` and
-``fit --k-grid ideal``) are left out to keep this test to a few seconds.
+their stdout.  The reference-backend artifacts (``figure fig1c/fig4/fig5``
+and ``fit --k-grid ideal`` per transverse field) are included; they are
+affordable because the reference backend diagonalizes its substeps in
+stacks.
 
 Print fresh digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -25,13 +27,18 @@ GRID = ["--k-grid", "experiment", "--backend", "trotter"]
 ARTIFACTS = {
     "fig1a.csv": ["figure", "fig1a"],
     "fig1b.csv": ["figure", "fig1b"],
+    "fig1c.csv": ["figure", "fig1c"],
     "fig3.csv": ["figure", "fig3"],
+    "fig4.csv": ["figure", "fig4"],
+    "fig5.csv": ["figure", "fig5"],
     "scan-reference.csv": ["scan"],
     "scan-reference-t2.csv": ["scan", *T2],
     "scan-trotter.csv": ["scan", "--backend", "trotter"],
     "scan-trotter-t2.csv": ["scan", "--backend", "trotter", *T2],
     "fit-experiment.json": ["fit", *GRID],
     "fit-experiment-t2.json": ["fit", *GRID, *T2],
+    "fit-ideal-bx0.1.json": ["fit", "--bx", "0.1", "--k-grid", "ideal"],
+    "fit-ideal-bx0.2.json": ["fit", "--bx", "0.2", "--k-grid", "ideal"],
     "sweep-experiment.csv": ["sweep", *GRID],
     "sweep-experiment-t2.csv": ["sweep", *GRID, *T2],
     "schedule.txt": ["schedule", "--j", "15"],

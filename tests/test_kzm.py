@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kzsim import kzm
+from kzsim import evolve, kzm
 from kzsim.errors import InvalidParam, UnknownFigure
 from kzsim.kzm import (KzmParams, ScalingFit, fit_scaling, freeze_out,
                        freeze_out_bisection, lz_check, predicted_defects,
@@ -127,6 +127,14 @@ def test_lz_check_adiabatic_limit():
 def test_lz_check_invalid():
     with pytest.raises(InvalidParam):
         lz_check(0.1, 0.0)
+    with pytest.raises(InvalidParam):
+        lz_check(float("nan"), 1.0)
+
+
+def test_lz_check_chunking_keeps_bits(monkeypatch):
+    expected = lz_check(0.2, 0.25)  # 2263 substeps
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
+    assert lz_check(0.2, 0.25) == expected
 
 
 def test_reproduce_figure_unknown():

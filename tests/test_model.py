@@ -181,3 +181,19 @@ def test_invalid_params():
         ModelParams(bx=-0.1, bz=0.0)
     with pytest.raises(InvalidParam):
         ModelParams(bx=math.nan, bz=0.0)
+
+
+def test_stacked_builders_match_single_fields():
+    bz = np.linspace(-2.0, 2.0, 9)
+    for build in (driven_hamiltonian, effective_hamiltonian):
+        stack = build(ModelParams(bx=0.15, bz=bz))
+        assert stack.shape[0] == len(bz)
+        for i, b in enumerate(bz):
+            assert stack[i].tobytes() == build(ModelParams(bx=0.15, bz=float(b))).tobytes()
+
+
+def test_field_array_validated_elementwise():
+    with pytest.raises(InvalidParam):
+        ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
+    with pytest.raises(InvalidParam):
+        ModelParams(bx=0.1, bz=np.zeros((2, 2)))

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzsim.errors import DimensionMismatch, NonHermitianInput
+from kzsim import model, smallmat
+from kzsim.errors import DimensionMismatch, NoConvergence, NonHermitianInput
 from kzsim.model import ModelParams, triplet_block
 from kzsim.smallmat import hermitian_eig, unitary_step
 
@@ -160,3 +162,143 @@ def test_phase_convention():
             lead = col[int(np.argmax(np.abs(col)))]
             assert abs(lead.imag) < 1e-12
             assert lead.real > 0
+
+
+# seeds of random_hermitian whose matrix needs the most Jacobi sweeps among
+# seeds 0..999: 2, 5 and 6 passes of the convergence check for dimension
+# 2, 3 and 4
+SLOWEST_SEED = {2: 999, 3: 999, 4: 986}
+
+
+def special_members(dim):
+    """A degenerate matrix, diag(2, 1, 1) in a rotated basis, whose cluster
+    the plain sort would order differently from the cluster rule; one whose
+    zero off-diagonal elements are skipped while the rest rotate; and the
+    slowest-converging one.  The skipping one carries negative zeros."""
+    u = unitary_step(random_hermitian(np.random.default_rng(0), dim), 1.0)
+    degenerate = u @ np.diag({2: [1.0, 1.0], 3: [2.0, 1.0, 1.0],
+                              4: [2.0, 1.0, 1.0, 3.0]}[dim]) @ u.conj().T
+    skipping = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    skipping[0, 1], skipping[1, 0] = complex(-0.0, -0.5), complex(-0.0, 0.5)
+    skipping[2:, :2], skipping[:2, 2:] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    slowest = random_hermitian(np.random.default_rng(SLOWEST_SEED[dim]), dim)
+    return [degenerate, skipping, slowest]
+
+
+def stacks():
+    """Random Hermitian stacks seeded with the special members, shuffled."""
+    def build(args):
+        dim, seed, size = args
+        rng = np.random.default_rng(seed)
+        members = [random_hermitian(rng, dim) for _ in range(size)] + special_members(dim)
+        return np.stack([members[i] for i in rng.permutation(len(members))])
+    return st.tuples(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(0, 12)).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks(), st.floats(-2.0, 2.0))
+def test_stack_bits_match_single_calls(stack, delta):
+    sd = hermitian_eig(stack)
+    u = unitary_step(stack, delta)
+    for i, h in enumerate(stack):
+        one = hermitian_eig(h)
+        assert sd.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+        assert sd.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
+        assert (sd.gap[i], sd.tau[i]) == (one.gap, one.tau)
+        assert u[i].tobytes() == unitary_step(h, delta).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_special_members_take_their_paths(dim, monkeypatch):
+    degenerate, skipping, slowest = special_members(dim)
+    sd = hermitian_eig(degenerate)
+    assert np.min(np.diff(sd.eigenvalues)) <= smallmat.DEGENERACY_TOL  # a cluster
+    # one sweep short of what the slowest member needs: only it fails
+    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", {2: 1, 3: 4, 4: 5}[dim])
+    if dim > 2:
+        hermitian_eig(np.stack([degenerate, skipping]))
+    with pytest.raises(NoConvergence):
+        hermitian_eig(np.stack([degenerate, skipping, slowest]))
+
+
+@pytest.mark.parametrize("fn", [hermitian_eig, lambda m: unitary_step(m, 0.1)])
+def test_bad_stack_member_raises_like_single_call(fn):
+    rng = np.random.default_rng(4)
+    for dim in (2, 3, 4):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(5)])
+        non_hermitian = stack.copy()
+        non_hermitian[2, 0, 1] += 1e-6
+        non_finite = stack.copy()
+        non_finite[3, 1, 1] = np.nan
+        for bad, member, error in ((non_hermitian, 2, NonHermitianInput),
+                                   (non_finite, 3, NonHermitianInput)):
+            with pytest.raises(error):
+                fn(bad[member])
+            with pytest.raises(error):
+                fn(bad)
+    for shape in ((5, 5), (1, 1), (3, 4)):
+        with pytest.raises(DimensionMismatch):
+            fn(np.zeros(shape, dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            fn(np.zeros((3, *shape), dtype=complex))
+    with pytest.raises(DimensionMismatch):  # a stack of stacks
+        fn(np.zeros((2, 3, 3, 3), dtype=complex))
+
+
+def test_stack_rejects_prev():
+    stack = np.stack([np.eye(3, dtype=complex)] * 2)
+    with pytest.raises(DimensionMismatch):
+        hermitian_eig(stack, prev=np.eye(3, dtype=complex))
+
+
+def test_empty_stack():
+    sd = hermitian_eig(np.zeros((0, 3, 3), dtype=complex))
+    assert sd.eigenvalues.shape == (0, 3) and sd.eigenvectors.shape == (0, 3, 3)
+    assert unitary_step(np.zeros((0, 2, 2), dtype=complex), 0.5).shape == (0, 2, 2)
+
+
+def test_jacobi_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", 1)
+    h = random_hermitian(np.random.default_rng(3), 4)
+    with pytest.raises(NoConvergence, match="did not converge in 1 sweeps"):
+        hermitian_eig(h)
+    with pytest.raises(NoConvergence):
+        unitary_step(np.stack([h, h]), 0.1)
+    # a diagonal matrix converges before its first sweep
+    assert np.array_equal(hermitian_eig(np.diag([2.0, 1.0]).astype(complex)).eigenvalues,
+                          [1.0, 2.0])
+
+
+# sha256 of the eigenvalues, eigenvectors and 0.01-unit propagators of
+# kernel_groups(), as the single-matrix kernel computed them before stacks
+# existed; like tests/golden, tied to this numpy and platform libm
+KERNEL_BITS = "a0e50d1999acae21881ef030254bb7128cc2b8f6d4228ea3281b5af29c46f115"
+
+
+def kernel_groups():
+    """Substep-like Hamiltonians of each kind plus random matrices, grouped
+    by dimension."""
+    rng = np.random.default_rng(2024)
+    bz = [float(b) for b in np.linspace(-1.5, 1.5, 31)]
+    return [
+        [model.driven_hamiltonian(ModelParams(bx=0.2, bz=b)) for b in bz],
+        [model.triplet_block(ModelParams(bx=0.1, bz=b)) for b in bz],
+        [model.effective_hamiltonian(ModelParams(bx=0.1, bz=b)) for b in bz],
+        *([random_hermitian(rng, dim) for _ in range(20)] for dim in (2, 3, 4)),
+    ]
+
+
+def test_kernel_bits_pinned():
+    single, stacked = hashlib.sha256(), hashlib.sha256()
+    for group in kernel_groups():
+        for h in group:
+            sd = hermitian_eig(h)
+            for part in (sd.eigenvalues, sd.eigenvectors, unitary_step(h, 0.01)):
+                single.update(part.tobytes())
+        sd = hermitian_eig(np.stack(group))
+        u = unitary_step(np.stack(group), 0.01)
+        for i in range(len(group)):
+            for part in (sd.eigenvalues[i], sd.eigenvectors[i], u[i]):
+                stacked.update(part.tobytes())
+    assert single.hexdigest() == KERNEL_BITS
+    assert stacked.hexdigest() == KERNEL_BITS
