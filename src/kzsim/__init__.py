@@ -11,8 +11,7 @@ from .errors import (ConfigInconsistent, DegenerateGround, DimensionMismatch,
                      KzsimError, NoConvergence, NonHermitianInput,
                      NoValidBranch, UnknownFigure, WorkLimitExceeded)
 from .evolve import (ScanTrace, SweepConfig, concurrence, concurrence_mixed,
-                     defect_density, dephase_propagate, eigenpopulations,
-                     propagate, ramp, scan, trotter_step)
+                     dephase_propagate, propagate, ramp, scan, trotter_step)
 from .kzm import (KzmParams, ScalingFit, freeze_out, freeze_out_bisection,
                   lz_check, predicted_defects, quench_time, reproduce_figure,
                   run_scaling_sweep, tau0)

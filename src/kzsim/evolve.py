@@ -19,15 +19,18 @@ plus coupling phases second within each segment, the same order in which the
 pulse block and the free-evolution delay occur in the sequence.
 
 Observables: defect density D = 1 - |<psi_g|psi>|^2, instantaneous
-eigenpopulations, and two-qubit concurrence.  Transverse relaxation is
-modelled as a per-qubit phase damping channel applied after each segment,
-with decay exp(-dt/T2) over the physical segment duration dt = 2*delta/(pi*J).
+eigenpopulations, and two-qubit concurrence, computed from stacks of up to
+SUBSTEP_CHUNK boundary states once the run has passed them.  Transverse
+relaxation is modelled as a per-qubit phase damping channel applied after
+each segment, with decay exp(-dt/T2) over the physical segment duration
+dt = 2*delta/(pi*J).
 
 ``scan`` starts a run in the ground state at b0 and evolves it as a pure
 state, or as a dephased density matrix when T2 times are configured.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -37,7 +40,7 @@ import numpy as np
 from . import model
 from .errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from .model import ModelParams, SIGMA_Y
-from .smallmat import hermitian_eig, unitary_step
+from .smallmat import _mul, hermitian_eig, unitary_step
 
 REFERENCE_SUBSTEP = 0.01
 # substep Hamiltonians diagonalized per call; bounds the memory of a stack
@@ -100,11 +103,10 @@ class SweepConfig:
                 f"ramp inconsistent: k*delta*steps = {self.k * self.delta * self.steps}"
                 f" but bz_end - b0 = {span}"
             )
-        nsub = _substeps(self)
-        if self.steps * nsub > MAX_SUBSTEPS:
+        if _work(self) > MAX_SUBSTEPS:
             raise WorkLimitExceeded(
-                f"scan needs {self.steps * nsub} propagator steps ({self.steps}"
-                f" segments x {nsub}), above the limit of {MAX_SUBSTEPS}"
+                f"scan needs {_work(self)} propagator steps ({self.steps}"
+                f" segments x {_substeps(self)}), above the limit of {MAX_SUBSTEPS}"
             )
 
     @property
@@ -127,7 +129,11 @@ class SweepConfig:
         """Build a config from the field step delta_b; delta = delta_b / k."""
         _require(positive=True, k=k, delta_b=delta_b)
         _require(b0=b0, bz_end=bz_end)
-        steps = int(round((bz_end - b0) / delta_b))
+        segments = max(0.0, (bz_end - b0) / delta_b)
+        if segments == math.inf:
+            raise WorkLimitExceeded(f"scan window [{b0}, {bz_end}] needs {segments}"
+                                    f" segments of delta_b = {delta_b}")
+        steps = int(round(segments))
         if steps <= 0 or abs(steps * delta_b - (bz_end - b0)) > 1e-9:
             raise ConfigInconsistent(
                 f"scan window [{b0}, {bz_end}] is not a whole number of"
@@ -205,12 +211,19 @@ def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
     return uz @ ux
 
 
-def _substeps(cfg: SweepConfig) -> int:
+def _substeps(cfg: SweepConfig) -> int | float:
     """Propagators per segment: the midpoint substeps of the reference
-    backend, or the one trotter step."""
+    backend (inf when their count overflows a float), or the one trotter
+    step."""
     if cfg.backend == "trotter":
         return 1
-    return max(1, math.ceil(cfg.delta / REFERENCE_SUBSTEP))
+    n = cfg.delta / REFERENCE_SUBSTEP
+    return max(1, math.ceil(n)) if math.isfinite(n) else n
+
+
+def _work(cfg: SweepConfig) -> int | float:
+    """Propagator steps of a scan: segments x propagators per segment."""
+    return cfg.steps * _substeps(cfg)
 
 
 def _midpoint_steps(hamiltonians, start: int, stop: int, h: float):
@@ -248,79 +261,75 @@ def segment_unitary(cfg: SweepConfig, m: int) -> np.ndarray:
     return reduce(lambda u, sub: sub @ u, next(_segment_unitaries(cfg, m, m)))
 
 
-def _pure_populations(psi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """|<v_i|psi>|^2 for triplet eigenvector columns v_i over {|00>, |phi+>, |11>}."""
-    coords = np.array([psi[0], (psi[1] + psi[2]) / math.sqrt(2), psi[3]], dtype=complex)
-    return np.abs(vectors.conj().T @ coords) ** 2
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def _mixed_populations(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """<v_i|rho|v_i> for the same columns embedded in the 4-dimensional basis."""
-    pops = np.empty(3)
-    for i in range(3):
-        v = vectors[:, i]
-        v4 = v[0] * model.KET_00 + v[1] * model.PHI_PLUS + v[2] * model.KET_11
-        pops[i] = float(np.real(np.vdot(v4, rho @ v4)))
-    return pops
+def concurrence(psi: np.ndarray) -> float | np.ndarray:
+    """Concurrence 2|ad - bc| of a pure two-qubit state (a,b,c,d), or of
+    each state of a stack (N, 4)."""
+    a, b, c, d = np.moveaxis(psi, -1, 0)
+    # numpy's complex scalar product and abs(), which its complex array
+    # arithmetic does not reproduce bit for bit
+    ad, bc = _mul(a.real, a.imag, d.real, d.imag), _mul(b.real, b.imag, c.real, c.imag)
+    conc = np.minimum(1.0, 2.0 * np.hypot(ad[0] - bc[0], ad[1] - bc[1]))
+    return float(conc) if np.ndim(conc) == 0 else conc
 
 
-def eigenpopulations(psi: np.ndarray, p: ModelParams) -> tuple[float, float, float]:
-    """Squared overlaps with the instantaneous triplet eigenstates."""
-    pops = _pure_populations(psi, model.triplet_spectrum(p).eigenvectors)
-    return float(pops[0]), float(pops[1]), float(pops[2])
-
-
-def defect_density(psi: np.ndarray, p: ModelParams) -> float:
-    """Total population outside the instantaneous ground state."""
-    g = model.ground_vector(p)
-    f = abs(np.vdot(g, psi)) ** 2
-    return min(1.0, max(0.0, 1.0 - float(f)))
-
-
-def concurrence(psi: np.ndarray) -> float:
-    """Concurrence 2|ad - bc| of a pure two-qubit state (a,b,c,d)."""
-    c = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
-    return min(1.0, float(c))
-
-
-def concurrence_mixed(rho: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix (spin-flip construction)."""
+def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
+    """Concurrence of a two-qubit density matrix (spin-flip construction),
+    or of each matrix of a stack (N, 4, 4)."""
     rho_t = _YY @ rho.conj() @ _YY
     sd = hermitian_eig(rho)
-    sqrt_rho = (sd.eigenvectors * np.sqrt(np.clip(sd.eigenvalues, 0.0, None))) \
-        @ sd.eigenvectors.conj().T
+    weights = np.sqrt(np.clip(sd.eigenvalues, 0.0, None))[..., None, :]
+    sqrt_rho = (sd.eigenvectors * weights) @ _dagger(sd.eigenvectors)
     m = sqrt_rho @ rho_t @ sqrt_rho
-    lam = hermitian_eig((m + m.conj().T) / 2).eigenvalues
-    roots = np.sqrt(np.clip(lam, 0.0, None))
-    c = 2.0 * roots[-1] - float(np.sum(roots))
-    return min(1.0, max(0.0, float(c)))
+    roots = np.sqrt(np.clip(hermitian_eig((m + _dagger(m)) / 2).eigenvalues, 0.0, None))
+    # the sum of the roots in np.sum's order for four of them, left to right
+    conc = np.clip(2.0 * roots[..., -1] - sum(np.moveaxis(roots, -1, 0)), 0.0, 1.0)
+    return float(conc) if rho.ndim == 2 else conc
 
 
-def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, conc) -> ScanTrace:
-    """Boundary loop shared by the pure and the mixed scan.
+def _observe_pure(psi: np.ndarray, vectors: np.ndarray):
+    """Populations |<v_i|psi>|^2 of the triplet eigenvector columns v_i
+    (over {|00>, |phi+>, |11>}) and concurrences of a stack of states."""
+    coords = np.stack([psi[:, 0], (psi[:, 1] + psi[:, 2]) / math.sqrt(2), psi[:, 3]], axis=-1)
+    amplitudes = (_dagger(vectors) @ coords[..., None])[..., 0]
+    return np.abs(amplitudes) ** 2, concurrence(psi)
 
-    ``advance(state, unitaries)`` carries the state across one segment,
-    ``populations(state, vectors)`` projects it onto the instantaneous
-    triplet eigenvectors (kept continuous from boundary to boundary) and
-    ``conc(state)`` gives its concurrence.
+
+def _observe_mixed(rho: np.ndarray, vectors: np.ndarray):
+    """Populations <v_i|rho|v_i> of the same columns embedded in the
+    4-dimensional basis, and concurrences, of a stack of density matrices."""
+    basis = np.stack([model.KET_00, model.PHI_PLUS, model.KET_11], axis=-1)
+    cols = np.swapaxes(basis @ vectors, -1, -2)[..., None]
+    pops = (_dagger(cols) @ (rho[:, None] @ cols))[..., 0, 0].real
+    return pops, concurrence_mixed(rho)
+
+
+def _run(cfg: SweepConfig, state: np.ndarray, advance, observe) -> ScanTrace:
+    """Scan loop shared by the pure and the mixed run.
+
+    ``advance(state, unitaries)`` carries the state across one segment.
+    The boundary states are handed, SUBSTEP_CHUNK at a time, to
+    ``observe(states, vectors)`` with the triplet eigenvectors at their
+    fields; it returns their populations and concurrences.
     """
     n = cfg.steps + 1
-    pops = np.empty((n, 3))
-    conc_col = np.empty(n)
-    prev = None
-    segments = _segment_unitaries(cfg)
-    for j in range(n):
-        if j > 0:
-            state = advance(state, next(segments))
-        p_here = ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))
-        prev = model.triplet_spectrum(p_here, prev=prev).eigenvectors
-        pops[j] = populations(state, prev)
-        conc_col[j] = conc(state)
     steps = np.arange(n)
+    bz = cfg.b0 + steps * cfg.delta_b
+    pops, conc = np.empty((n, 3)), np.empty(n)
+    states = itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
+    for lo in range(0, n, SUBSTEP_CHUNK):
+        hi = min(lo + SUBSTEP_CHUNK, n)
+        chunk = np.array(list(itertools.islice(states, hi - lo)))
+        vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[lo:hi])).eigenvectors
+        pops[lo:hi], conc[lo:hi] = observe(chunk, vectors)
     return ScanTrace(
-        t=steps * cfg.delta, bz=cfg.b0 + steps * cfg.delta_b,
+        t=steps * cfg.delta, bz=bz,
         defect=np.clip(1.0 - pops[:, 0], 0.0, 1.0), overlap=pops[:, 0].copy(),
-        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc_col,
+        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
     )
 
 
@@ -341,7 +350,7 @@ def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
             psi = u @ psi
         return psi
 
-    return _run(cfg, psi, advance, _pure_populations, concurrence)
+    return _run(cfg, psi, advance, _observe_pure)
 
 
 def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
@@ -387,7 +396,7 @@ def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:
             rho = u @ rho @ u.conj().T
         return rho * mask
 
-    return _run(cfg, rho, advance, _mixed_populations, concurrence_mixed)
+    return _run(cfg, rho, advance, _observe_mixed)
 
 
 def scan(cfg: SweepConfig) -> ScanTrace:

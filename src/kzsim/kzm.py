@@ -97,9 +97,10 @@ def quench_time(bx: float, k: float) -> float:
 
 def tau0(bx: float) -> float:
     """Maximal relaxation time 1/(2 sqrt(2) bx)."""
-    if bx <= 0 or not math.isfinite(bx):
-        raise InvalidParam(f"need bx > 0, got {bx}")
-    return 1.0 / (2.0 * math.sqrt(2) * bx)
+    gap = 2.0 * math.sqrt(2) * bx
+    if not 0 < gap < math.inf:
+        raise InvalidParam(f"need bx > 0 and a finite gap 2 sqrt(2) bx, got bx={bx}")
+    return 1.0 / gap
 
 
 def freeze_out(p: KzmParams, verify: bool = True) -> tuple[float, float]:
@@ -182,9 +183,15 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     ``options`` go to ``SweepConfig.from_rate``, whose default window ends
     at bz = -0.2.  The points are pooled into a single fit, so call once per
     transverse field for per-field estimates or with both fields for the
-    pooled experimental-grid estimate.
+    pooled experimental-grid estimate.  A grid of more than
+    evolve.MAX_SUBSTEPS propagator steps in all is refused before any scan.
     """
     cfgs = [SweepConfig.from_rate(bx, k, **options) for bx in bx_values for k in k_values]
+    work = sum(evolve._work(c) for c in cfgs)
+    if work > evolve.MAX_SUBSTEPS:
+        raise WorkLimitExceeded(
+            f"grid of {len(cfgs)} scans needs {work} propagator steps, above the"
+            f" limit of {evolve.MAX_SUBSTEPS}")
     pts = sorted((quench_time(c.bx, c.k) / tau0(c.bx), evolve.scan(c).final_defect)
                  for c in cfgs)
     alpha_hat, r = fit_scaling(pts)
@@ -211,7 +218,8 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     half_window = 10.0 * math.sqrt(2) * bx
     z0 = -1.0 - half_window
     total = 2.0 * half_window / k
-    n = max(1, math.ceil(total / evolve.REFERENCE_SUBSTEP))
+    n = total / evolve.REFERENCE_SUBSTEP
+    n = max(1, math.ceil(n)) if math.isfinite(n) else n
     if n > evolve.MAX_SUBSTEPS:
         raise WorkLimitExceeded(
             f"lz-check needs {n} substeps, above the limit of {evolve.MAX_SUBSTEPS}")
@@ -242,20 +250,14 @@ class FigureData:
 
 
 def _fig_levels(bx: float = 0.1):
-    rows = []
-    for i in range(-200, 201):
-        bz = i / 100.0
-        sd = model.triplet_spectrum(ModelParams(bx=bx, bz=bz))
-        rows.append((bz, *map(float, sd.eigenvalues)))
-    return rows
+    bz = np.arange(-200, 201) / 100.0
+    levels = model.triplet_spectrum(ModelParams(bx=bx, bz=bz)).eigenvalues
+    return [(b, *e) for b, e in zip(bz.tolist(), levels.tolist())]
 
 
 def _fig_tau(bx: float = 0.1):
-    rows = []
-    for i in range(-200, 201):
-        bz = i / 100.0
-        rows.append((bz, model.relaxation_time(ModelParams(bx=bx, bz=bz))))
-    return rows
+    bz = np.arange(-200, 201) / 100.0
+    return list(zip(bz.tolist(), model.relaxation_time(ModelParams(bx=bx, bz=bz)).tolist()))
 
 
 def _fig_populations():

@@ -52,8 +52,9 @@ _PHASE_TOL = 1e-12
 class ModelParams:
     """Transverse field bx >= 0 and control field bz, both in coupling units.
 
-    ``bz`` may also be a 1-D array of fields; ``driven_hamiltonian`` and
-    ``effective_hamiltonian`` then return one matrix per field as a stack.
+    ``bz`` may also be a 1-D array of fields; the Hamiltonian builders,
+    ``triplet_spectrum`` and ``relaxation_time`` then return one result per
+    field, stacked.
     """
 
     bx: float
@@ -101,15 +102,13 @@ def driven_hamiltonian(p: ModelParams) -> np.ndarray:
 
 def triplet_block(p: ModelParams) -> np.ndarray:
     """3x3 restriction to the swap-symmetric basis {|00>, |phi+>, |11>}."""
-    s = math.sqrt(2) * p.bx
-    return np.array(
-        [
-            [1 + 2 * p.bz, s, 0],
-            [s, -1, s],
-            [0, s, 1 - 2 * p.bz],
-        ],
-        dtype=complex,
-    )
+    bz = np.asarray(p.bz)
+    h = np.zeros((*bz.shape, 3, 3), dtype=complex)
+    h[..., 0, 0] = 1 + 2 * bz
+    h[..., 1, 1] = -1
+    h[..., 2, 2] = 1 - 2 * bz
+    h[..., [0, 1, 1, 2], [1, 0, 2, 1]] = math.sqrt(2) * p.bx
+    return h
 
 
 def effective_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -117,9 +116,9 @@ def effective_hamiltonian(p: ModelParams) -> np.ndarray:
     return _per_matrix(p.bz + 1.0) * SIGMA_Z + math.sqrt(2) * p.bx * SIGMA_X
 
 
-def triplet_spectrum(p: ModelParams, prev: np.ndarray | None = None) -> SpectralData:
+def triplet_spectrum(p: ModelParams) -> SpectralData:
     """Spectral data of the triplet block (ascending, orthonormal columns)."""
-    return hermitian_eig(triplet_block(p), prev=prev)
+    return hermitian_eig(triplet_block(p))
 
 
 def ground_state(p: ModelParams) -> GroundState:
@@ -141,12 +140,13 @@ def ground_vector(p: ModelParams) -> np.ndarray:
     return ground_state(p).vector()
 
 
-def relaxation_time(p: ModelParams) -> float:
+def relaxation_time(p: ModelParams) -> float | np.ndarray:
     """Inverse gap between the two lowest triplet levels."""
-    sd = triplet_spectrum(p)
-    if sd.gap <= 1e-14:
-        raise GapClosed(f"gap closed at bx={p.bx}, bz={p.bz}")
-    return 1.0 / sd.gap
+    gap = triplet_spectrum(p).gap
+    closed = np.asarray(gap) <= 1e-14
+    if closed.any():
+        raise GapClosed(f"gap closed at bx={p.bx}, bz={np.extract(closed, p.bz)[0]}")
+    return 1.0 / gap
 
 
 def effective_relaxation_time(bx: float, bz: float) -> float:

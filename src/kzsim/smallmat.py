@@ -11,7 +11,9 @@ Both public functions also take a stack (N, n, n), in the style of
 numpy.linalg.  A stack runs the same Jacobi vectorized over its members, on
 separate real and imaginary arrays that repeat numpy's complex scalar
 arithmetic operation for operation, so every member gets the bits a call on
-that matrix alone would give.
+that matrix alone would give.  The order of degenerate eigenvectors depends
+on the matrix alone (the basis index of each one's largest component), so
+how matrices are grouped into stacks never changes a result.
 
 All functions are pure; matrices and vectors are plain numpy arrays and are
 never mutated in place.
@@ -69,14 +71,15 @@ def _no_convergence(n: int) -> NoConvergence:
         f" {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _jacobi(a: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
-    """Cyclic Jacobi on a Hermitian matrix given as nested lists.
+def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi on a Hermitian matrix, in numpy's complex scalars.
 
-    Returns eigenvalues (unsorted) and the accumulated unitary V as rows of
-    components, i.e. eigenvector i is [V[0][i], V[1][i], ...].  Raises
-    NoConvergence when the off-diagonal norm is still above JACOBI_TOL
-    after _JACOBI_MAX_SWEEPS sweeps.
+    Returns the eigenvalues (unsorted) and the accumulated unitary V, whose
+    columns are the eigenvectors.  Raises NoConvergence when the
+    off-diagonal norm is still above JACOBI_TOL after _JACOBI_MAX_SWEEPS
+    sweeps.
     """
+    a = [list(row) for row in m]
     n = len(a)
     v = [[1.0 + 0j if i == j else 0.0 + 0j for j in range(n)] for i in range(n)]
     tol2 = JACOBI_TOL * JACOBI_TOL
@@ -119,8 +122,7 @@ def _jacobi(a: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
                     v[i][q] = s * vip + c * viq
     else:
         raise _no_convergence(n)
-    w = [a[i][i].real for i in range(n)]
-    return w, v
+    return np.array([a[i][i].real for i in range(n)]), np.array(v)
 
 
 def _mul(ar, ai, br, bi):
@@ -190,36 +192,22 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return re[range(n), range(n)].T, v
 
 
-def _order_with_clusters(w: np.ndarray, v: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalue order; inside degenerate clusters the order is
-    fixed either by overlap with ``prev`` columns (adiabatic continuity) or,
-    lacking that, by the basis index of each vector's largest component."""
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    scale = max(1.0, float(np.max(np.abs(w))))
-    # find maximal runs of near-equal eigenvalues
-    start = 0
-    while start < len(w) - 1:
-        end = start
-        while end + 1 < len(w) and abs(w[end + 1] - w[end]) <= DEGENERACY_TOL * scale:
-            end += 1
-        if end > start:
-            idx = list(range(start, end + 1))
-            if prev is not None:
-                chosen: list[int] = []
-                remaining = idx[:]
-                for pos in idx:
-                    ref = prev[:, pos]
-                    best = max(remaining, key=lambda j: abs(np.vdot(ref, v[:, j])))
-                    chosen.append(best)
-                    remaining.remove(best)
-            else:
-                chosen = sorted(idx, key=lambda j: int(np.argmax(np.abs(v[:, j]))))
-            v[:, idx] = v[:, chosen]
-            w[idx] = w[chosen]
-        start = end + 1
-    return w, v
+def _order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the eigenpairs (w on the last axis, v by columns; either may be
+    a stack) by ascending eigenvalue, and inside a degenerate cluster by the
+    basis index of each vector's largest component."""
+    def take(order):
+        return (np.take_along_axis(w, order, axis=-1),
+                np.take_along_axis(v, order[..., None, :], axis=-1))
+
+    w, v = take(np.argsort(w, axis=-1, kind="stable"))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
+    # clusters are maximal runs of near-equal eigenvalues
+    breaks = np.abs(np.diff(w, axis=-1)) > DEGENERACY_TOL * scale
+    if breaks.all():  # no cluster; skips the cost below on most calls
+        return w, v
+    cluster = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
+    return take(np.lexsort((np.argmax(np.abs(v), axis=-2), cluster), axis=-1))
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -232,35 +220,13 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v * (ref.conj() / np.hypot(ref.real, ref.imag))
 
 
-def _eig_single(sym: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    w_raw, v_raw = _jacobi([list(row) for row in sym])
-    w, v = _order_with_clusters(np.array(w_raw, dtype=float),
-                                np.array(v_raw, dtype=complex), prev)
-    return w, _fix_phases(v)
-
-
-def _eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_eig_single`` on every member; a member with a degenerate cluster
-    is ordered by the single-matrix rule for clusters."""
-    w_raw, v_raw = _jacobi_stack(sym)
-    order = np.argsort(w_raw, axis=-1, kind="stable")
-    w = np.take_along_axis(w_raw, order, axis=-1)
-    v = np.take_along_axis(v_raw, order[:, None, :], axis=-1)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    clustered = np.any(np.abs(np.diff(w, axis=-1)) <= DEGENERACY_TOL * scale[:, None], axis=-1)
-    for i in np.flatnonzero(clustered):
-        w[i], v[i] = _order_with_clusters(w_raw[i], v_raw[i], None)
-    return w, _fix_phases(v)
-
-
-def hermitian_eig(m: np.ndarray, prev: np.ndarray | None = None) -> SpectralData:
+def hermitian_eig(m: np.ndarray) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix of dimension 2..4, or of
     each matrix of a stack (N, n, n).
 
-    ``prev`` optionally carries the eigenvector columns from a neighbouring
-    parameter point; it only matters when eigenvalues are degenerate, where
-    it keeps the returned order continuous along a sweep.  It applies to a
-    single matrix only.
+    Eigenvalues ascend; the vectors of a degenerate cluster are ordered by
+    the basis index of their largest component, and each vector's largest
+    component is real and positive.
 
     Raises NonHermitianInput when max|M - M^dag| exceeds 1e-12 (for any
     member of a stack) and NoConvergence when the Jacobi iteration stalls.
@@ -271,17 +237,12 @@ def hermitian_eig(m: np.ndarray, prev: np.ndarray | None = None) -> SpectralData
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
     sym = (a + herm) / 2.0
+    w, v = _order(*(_jacobi(sym) if a.ndim == 2 else _jacobi_stack(sym)))
+    gap = w[..., 1] - w[..., 0]
+    tau = np.divide(1.0, gap, out=np.full(gap.shape, math.inf), where=gap > 0.0)
     if a.ndim == 2:
-        w, v = _eig_single(sym, prev)
-        gap = float(w[1] - w[0])
-        tau = 1.0 / gap if gap > 0.0 else math.inf
-    else:
-        if prev is not None:
-            raise DimensionMismatch("prev applies to a single matrix, not to a stack")
-        w, v = _eig_stack(sym)
-        gap = w[:, 1] - w[:, 0]
-        tau = np.divide(1.0, gap, out=np.full(gap.shape, math.inf), where=gap > 0.0)
-    return SpectralData(eigenvalues=w, eigenvectors=v, gap=gap, tau=tau)
+        gap, tau = float(gap), float(tau)
+    return SpectralData(eigenvalues=w, eigenvectors=_fix_phases(v), gap=gap, tau=tau)
 
 
 def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:

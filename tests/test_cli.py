@@ -1,11 +1,43 @@
 import json
 import math
 import os
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kzsim import cli, smallmat
+from kzsim import cli, evolve, smallmat
 from kzsim.errors import UsageError, ValidationError
+
+HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "", "x", "1,2,3")
+# a few valid values, so that draws also reach the trotter and T2 paths
+ORDINARY = ("0.5", "trotter", "2,0.2")
+_MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
+_GRID = ("--bx", "--k-grid", "--b0", "--bz-end", "--backend", "--t2", "--j-hz", "--out")
+# subcommand: (argv that keeps a valid draw cheap, flags that take a value;
+# None stands for a positional argument)
+FUZZ = {
+    "scan": ((), (*_MODEL, "--bz-end", "--backend", "--t2")),
+    "sweep": (("--k-grid", "1,0.5", "--backend", "trotter"), _GRID),
+    "fit": (("--k-grid", "1,0.5", "--backend", "trotter"), _GRID),
+    "figure": (("fig1b",), (None, "--out")),
+    "schedule": ((), (*_MODEL, "--j")),
+    "lz-check": ((), ("--bx", "--k", "--out")),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ)))
+    base, flags = FUZZ[command]
+    argv = [command, *base]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(flags),
+                                               st.sampled_from(HOSTILE + ORDINARY)),
+                                     max_size=3)):
+        argv += [value] if flag is None else [flag, value]
+    if draw(st.booleans()) and draw(st.booleans()):  # a quarter of the draws
+        argv.append("--print-config")
+    return argv
 
 
 def run(args, tmp_path, monkeypatch):
@@ -50,8 +82,37 @@ def test_exit_codes(tmp_path, monkeypatch):
                  ["scan", "--delta-b", "nan"], ["scan", "--b0", "nan"],
                  ["scan", "--j-hz", "nan", "--t2", "2,0.2"],
                  ["scan", "--k", "1e-6"], ["scan", "--bz-end", "1e6"],
-                 ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"]):
+                 ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"],
+                 ["scan", "--delta-b", "1e-320"], ["lz-check", "--k", "1e-320"],
+                 ["scan", "--b0", "1e308"], ["scan", "--bz-end", "1e308", "--delta-b", "1e308"]):
         assert cli.main(argv) == 3, argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+@example(argv=["scan", "--delta-b", "1e-320"])
+@example(argv=["lz-check", "--bx", "1e308"])
+@example(argv=["fit", "--k-grid", "1,0.5", "--backend", "trotter", "--bx", "1e308"])
+def test_fuzzed_argv_exits_with_a_code(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) in (0, 2, 3, 4), argv
+
+
+def test_grid_work_refused_before_any_scan(tmp_path, monkeypatch, capsys):
+    # each scan is under the limit (130000 steps); the grid is 2000 of them
+    grid = ",".join(["0.001"] * 2000)
+
+    def no_scan(cfg):
+        raise AssertionError("a scan ran before the grid was refused")
+
+    monkeypatch.setattr(evolve, "scan", no_scan)
+    start = time.perf_counter()
+    assert run(["fit", "--k-grid", grid], tmp_path, monkeypatch) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: grid of 2000 scans needs 260000000")
+    assert not list(tmp_path.iterdir())
 
 
 def test_unbounded_work_refused_with_count(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -7,9 +8,8 @@ import pytest
 from kzsim import evolve, model
 from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
-                          concurrence_mixed, defect_density,
-                          dephase_propagate, eigenpopulations, propagate,
-                          ramp, segment_unitary, trotter_step)
+                          concurrence_mixed, dephase_propagate, propagate,
+                          ramp, scan, segment_unitary, trotter_step)
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
@@ -104,23 +104,31 @@ def test_adiabatic_limit():
     assert trace.final_defect < 0.01
 
 
-def test_eigenpopulations_basis_states():
-    p = ModelParams(bx=0.13, bz=-0.8)
-    sd = model.triplet_spectrum(p)
-    for i, expected in enumerate(np.eye(3)):
-        v = sd.eigenvectors[:, i]
-        psi = v[0] * KET_00 + v[1] * PHI_PLUS + v[2] * model.KET_11
-        assert np.allclose(eigenpopulations(psi, p), expected, atol=1e-12)
+def embed(v):
+    """Triplet coordinates over {|00>, |phi+>, |11>} as a 4-component state."""
+    return v[0] * KET_00 + v[1] * PHI_PLUS + v[2] * model.KET_11
 
 
-def test_defect_density_endpoints():
-    p = ModelParams(bx=0.1, bz=-0.4)
-    g = ground_vector(p)
-    assert defect_density(g, p) == pytest.approx(0.0, abs=1e-12)
-    sd = model.triplet_spectrum(p)
-    v = sd.eigenvectors[:, 1]
-    excited = v[0] * KET_00 + v[1] * PHI_PLUS + v[2] * model.KET_11
-    assert defect_density(excited, p) == pytest.approx(1.0, abs=1e-12)
+def test_observers_give_eigenstates_unit_populations():
+    sd = model.triplet_spectrum(ModelParams(bx=0.13, bz=-0.8))
+    states = np.stack([embed(sd.eigenvectors[:, i]) for i in range(3)])
+    vectors = np.stack([sd.eigenvectors] * 3)
+    pops, conc = evolve._observe_pure(states, vectors)
+    assert np.allclose(pops, np.eye(3), atol=1e-12)
+    rhos = np.stack([np.outer(psi, psi.conj()) for psi in states])
+    pops_mixed, conc_mixed = evolve._observe_mixed(rhos, vectors)
+    assert np.allclose(pops_mixed, np.eye(3), atol=1e-12)
+    assert np.allclose(conc_mixed, conc, atol=1e-7)
+
+
+def test_ground_state_has_no_defects():
+    # a scan of no segments observes only its start, the ground state
+    for t2 in (None, (2.0, 0.2)):
+        cfg = SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=0, b0=-0.4, bz_end=-0.4, t2=t2)
+        assert scan(cfg).defect == pytest.approx([0.0], abs=1e-12)
+    sd = model.triplet_spectrum(ModelParams(bx=0.1, bz=-0.4))
+    pops, _ = evolve._observe_pure(embed(sd.eigenvectors[:, 1])[None], sd.eigenvectors[None])
+    assert 1.0 - pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_final_defect_matches_scaling_law():
@@ -194,6 +202,20 @@ def test_chunking_keeps_bits(monkeypatch):
     for name in ("defect", "a1", "a2", "concurrence"):
         assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
     assert segment_unitary(cfg, 7).tobytes() == u7.tobytes()
+
+
+def test_boundary_chunking_keeps_bits(monkeypatch):
+    # 41 boundaries each; bx = 0 crosses degenerate levels at bz = -1, 0, 1
+    dephased = (2.0, 0.2)
+    cfgs = [SweepConfig.from_rate(bx, 1.0, b0=-2.0, bz_end=2.0, backend=backend, t2=t2)
+            for bx, backend, t2 in ((0.0, "reference", None), (0.0, "trotter", dephased),
+                                    (0.1, "reference", dephased), (0.1, "trotter", None))]
+    expected = [scan(cfg) for cfg in cfgs]
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
+    for cfg, full in zip(cfgs, expected):
+        trace = scan(cfg)
+        for field in dataclasses.fields(ScanTrace):
+            assert getattr(trace, field.name).tobytes() == getattr(full, field.name).tobytes()
 
 
 def test_work_limit():
@@ -282,6 +304,21 @@ def test_concurrence_mixed_matches_pure():
         # square roots of the noise eigenvalues of rho*rho_tilde limit the
         # achievable agreement to ~sqrt(machine epsilon)
         assert concurrence_mixed(rho) == pytest.approx(concurrence(psi), abs=1e-7)
+
+
+def test_stacked_concurrence_matches_single_states():
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    psi = np.concatenate([psi / np.linalg.norm(psi, axis=1)[:, None], [PHI_PLUS, KET_00]])
+    conc = concurrence(psi)
+    assert conc.tobytes() == np.array([concurrence(s) for s in psi]).tobytes()
+    # and numpy's complex scalar arithmetic, bit for bit
+    scalar = [min(1.0, float(2.0 * abs(s[0] * s[3] - s[1] * s[2]))) for s in psi]
+    assert conc.tobytes() == np.array(scalar).tobytes()
+    pure = np.stack([np.outer(s, s.conj()) for s in psi])
+    rho = 0.7 * pure + 0.3 * pure[::-1]
+    stacked = concurrence_mixed(rho)
+    assert stacked.tobytes() == np.array([concurrence_mixed(r) for r in rho]).tobytes()
 
 
 def test_csv_serialization():

@@ -23,6 +23,9 @@ from kzsim import cli
 GOLDEN = Path(__file__).parent / "golden" / "sha256.txt"
 T2 = ["--t2", "2,0.2"]
 GRID = ["--k-grid", "experiment", "--backend", "trotter"]
+# bx = 0 over [-2, 2]: level crossings at bz = -1, 0 and 1, where the
+# boundary spectra are degenerate
+BX0 = ["--bx", "0", "--b0", "-2", "--bz-end", "2"]
 
 ARTIFACTS = {
     "fig1a.csv": ["figure", "fig1a"],
@@ -35,6 +38,8 @@ ARTIFACTS = {
     "scan-reference-t2.csv": ["scan", *T2],
     "scan-trotter.csv": ["scan", "--backend", "trotter"],
     "scan-trotter-t2.csv": ["scan", "--backend", "trotter", *T2],
+    "scan-bx0.csv": ["scan", *BX0],
+    "scan-bx0-trotter-t2.csv": ["scan", *BX0, "--backend", "trotter", *T2],
     "fit-experiment.json": ["fit", *GRID],
     "fit-experiment-t2.json": ["fit", *GRID, *T2],
     "fit-ideal-bx0.1.json": ["fit", "--bx", "0.1", "--k-grid", "ideal"],

@@ -192,6 +192,25 @@ def test_stacked_builders_match_single_fields():
             assert stack[i].tobytes() == build(ModelParams(bx=0.15, bz=float(b))).tobytes()
 
 
+def test_stacked_spectra_match_single_fields():
+    bz = np.linspace(-2.0, 2.0, 17)
+    for bx in (0.0, 0.15):  # bx = 0: degenerate levels at bz = -1, 0 and 1
+        p = ModelParams(bx=bx, bz=bz)
+        blocks, sd = triplet_block(p), triplet_spectrum(p)
+        for i, b in enumerate(bz):
+            one = ModelParams(bx=bx, bz=float(b))
+            assert blocks[i].tobytes() == triplet_block(one).tobytes()
+            single = triplet_spectrum(one)
+            for name in ("eigenvalues", "eigenvectors", "gap", "tau"):
+                expected = np.asarray(getattr(single, name)).tobytes()
+                assert getattr(sd, name)[i].tobytes() == expected, (bx, b, name)
+    taus = relaxation_time(ModelParams(bx=0.15, bz=bz))
+    single = [relaxation_time(ModelParams(bx=0.15, bz=float(b))) for b in bz]
+    assert taus.tobytes() == np.array(single).tobytes()
+    with pytest.raises(GapClosed, match="bz=-1.0"):
+        relaxation_time(ModelParams(bx=0.0, bz=np.array([-2.0, -1.0, 0.5])))
+
+
 def test_field_array_validated_elementwise():
     with pytest.raises(InvalidParam):
         ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
