@@ -16,9 +16,8 @@ from .kzm import (KzmParams, ScalingFit, freeze_out, freeze_out_bisection,
                   lz_check, predicted_defects, quench_time, reproduce_figure,
                   run_scaling_sweep, tau0)
 from .model import (GroundState, ModelParams, driven_hamiltonian,
-                    effective_hamiltonian, effective_relaxation_time,
-                    ground_state, ground_vector, relaxation_time,
-                    triplet_block)
+                    effective_hamiltonian, ground_state, ground_vector,
+                    relaxation_time, triplet_block)
 from .protocol import (PrepAngles, PulseSchedule, gradient_crush,
                        nmr_schedule, prep_angles, prep_operator,
                        protocol_overlap)

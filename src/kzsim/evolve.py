@@ -39,8 +39,8 @@ import numpy as np
 
 from . import model
 from .errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
-from .model import ModelParams, SIGMA_Y
-from .smallmat import _mul, hermitian_eig, unitary_step
+from .model import FIELD_LIMIT, ModelParams, SIGMA_Y
+from .smallmat import hermitian_eig, unitary_step
 
 REFERENCE_SUBSTEP = 0.01
 # substep Hamiltonians diagonalized per call; bounds the memory of a stack
@@ -57,15 +57,14 @@ J_HZ = 215.0
 
 _RAMP_TOL = 1e-12
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-# qubit bit patterns of the computational basis |q1 q2>
-_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _require(*, positive: bool = False, **values: float) -> None:
-    """Reject non-finite values and, with ``positive``, values <= 0."""
+    """Reject non-finite values and, with ``positive``, values <= 0;
+    without it, the values are fields and must lie within FIELD_LIMIT."""
     for name, value in values.items():
-        if not math.isfinite(value) or (positive and value <= 0):
-            kind = "positive and finite" if positive else "finite"
+        if not (value > 0 if positive else abs(value) <= FIELD_LIMIT) or not math.isfinite(value):
+            kind = "positive and finite" if positive else f"finite with |{name}| <= {FIELD_LIMIT:g}"
             raise ConfigInconsistent(f"{name} must be {kind}, got {value}")
 
 
@@ -77,7 +76,9 @@ class SweepConfig:
     number of segments, tied together by k * delta * steps = bz_end - b0.
     ``t2`` optionally holds the two transverse relaxation times in seconds,
     converted to per-segment decay using the coupling ``j_hz`` in Hz.  A
-    scan of more than MAX_SUBSTEPS propagator steps is refused.
+    scan of more than MAX_SUBSTEPS propagator steps is refused, and so is a
+    trotter scan whose phases per segment (delta bx and delta (1 +- 2 bz)
+    over the window) overflow.
     """
 
     bx: float
@@ -92,7 +93,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
-        _require(b0=self.b0, bz_end=self.bz_end)
+        _require(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
         if self.steps < 0:
             raise ConfigInconsistent(f"segment count must be >= 0, got {self.steps}")
         if self.backend not in BACKENDS:
@@ -103,11 +104,14 @@ class SweepConfig:
                 f"ramp inconsistent: k*delta*steps = {self.k * self.delta * self.steps}"
                 f" but bz_end - b0 = {span}"
             )
-        if _work(self) > MAX_SUBSTEPS:
-            raise WorkLimitExceeded(
-                f"scan needs {_work(self)} propagator steps ({self.steps}"
-                f" segments x {_substeps(self)}), above the limit of {MAX_SUBSTEPS}"
-            )
+        if self.backend == "trotter":
+            phase = self.delta * max(abs(self.bx), 2 * abs(self.b0) + 1, 2 * abs(self.bz_end) + 1)
+            if not math.isfinite(phase):
+                raise ConfigInconsistent(
+                    f"trotter phase per segment overflows: delta = {self.delta} with"
+                    f" bx = {self.bx}, bz in [{self.b0}, {self.bz_end}]")
+        _check_work(_work(self), f"scan needs {_work(self)} propagator steps"
+                                 f" ({self.steps} segments x {_substeps(self)})")
 
     @property
     def delta_b(self) -> float:
@@ -211,14 +215,25 @@ def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
     return uz @ ux
 
 
+def _substep_count(duration: float) -> int | float:
+    """Midpoint substeps of at most REFERENCE_SUBSTEP that cover
+    ``duration``: at least one, and inf when their count overflows a
+    float."""
+    n = duration / REFERENCE_SUBSTEP
+    return max(1, math.ceil(n)) if math.isfinite(n) else n
+
+
+def _check_work(work: int | float, needs: str) -> None:
+    """Refuse ``work`` propagator steps above MAX_SUBSTEPS; ``needs`` says
+    what needs them and how many."""
+    if work > MAX_SUBSTEPS:
+        raise WorkLimitExceeded(f"{needs}, above the limit of {MAX_SUBSTEPS}")
+
+
 def _substeps(cfg: SweepConfig) -> int | float:
     """Propagators per segment: the midpoint substeps of the reference
-    backend (inf when their count overflows a float), or the one trotter
-    step."""
-    if cfg.backend == "trotter":
-        return 1
-    n = cfg.delta / REFERENCE_SUBSTEP
-    return max(1, math.ceil(n)) if math.isfinite(n) else n
+    backend, or the one trotter step."""
+    return 1 if cfg.backend == "trotter" else _substep_count(cfg.delta)
 
 
 def _work(cfg: SweepConfig) -> int | float:
@@ -269,26 +284,25 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 def concurrence(psi: np.ndarray) -> float | np.ndarray:
     """Concurrence 2|ad - bc| of a pure two-qubit state (a,b,c,d), or of
     each state of a stack (N, 4)."""
-    a, b, c, d = np.moveaxis(psi, -1, 0)
-    # numpy's complex scalar product and abs(), which its complex array
-    # arithmetic does not reproduce bit for bit
-    ad, bc = _mul(a.real, a.imag, d.real, d.imag), _mul(b.real, b.imag, c.real, c.imag)
-    conc = np.minimum(1.0, 2.0 * np.hypot(ad[0] - bc[0], ad[1] - bc[1]))
-    return float(conc) if np.ndim(conc) == 0 else conc
+    # a single state runs as a stack of one, which gives it the bits it has
+    # inside any stack
+    a, b, c, d = np.reshape(psi, (-1, 4)).T
+    conc = np.minimum(1.0, 2.0 * np.abs(a * d - b * c))
+    return float(conc[0]) if np.ndim(psi) == 1 else conc
 
 
 def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
     """Concurrence of a two-qubit density matrix (spin-flip construction),
     or of each matrix of a stack (N, 4, 4)."""
-    rho_t = _YY @ rho.conj() @ _YY
-    sd = hermitian_eig(rho)
+    stack = np.reshape(rho, (-1, 4, 4))  # a stack of one, as in concurrence
+    rho_t = _YY @ stack.conj() @ _YY
+    sd = hermitian_eig(stack)
     weights = np.sqrt(np.clip(sd.eigenvalues, 0.0, None))[..., None, :]
     sqrt_rho = (sd.eigenvectors * weights) @ _dagger(sd.eigenvectors)
     m = sqrt_rho @ rho_t @ sqrt_rho
     roots = np.sqrt(np.clip(hermitian_eig((m + _dagger(m)) / 2).eigenvalues, 0.0, None))
-    # the sum of the roots in np.sum's order for four of them, left to right
-    conc = np.clip(2.0 * roots[..., -1] - sum(np.moveaxis(roots, -1, 0)), 0.0, 1.0)
-    return float(conc) if rho.ndim == 2 else conc
+    conc = np.clip(2.0 * roots[:, -1] - roots.sum(-1), 0.0, 1.0)
+    return float(conc[0]) if np.ndim(rho) == 2 else conc
 
 
 def _observe_pure(psi: np.ndarray, vectors: np.ndarray):
@@ -365,16 +379,10 @@ def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
     if len(cfg.t2) != 2 or any(x <= 0 or not math.isfinite(x) for x in cfg.t2):
         raise InvalidT2(f"T2 times must be positive and finite, got {cfg.t2}")
     dt = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
-    lam = [math.exp(-dt / t2i) for t2i in cfg.t2]
-    mask = np.ones((4, 4))
-    for a in range(4):
-        for b in range(4):
-            f = 1.0
-            for qubit in range(2):
-                if _BITS[a][qubit] != _BITS[b][qubit]:
-                    f *= lam[qubit]
-            mask[a, b] = f
-    return mask
+    # one factor per qubit, exp(-dt/T2_i) where its bit flips; the Kronecker
+    # product over the qubits follows the basis order |q1 q2>
+    lam1, lam2 = (math.exp(-dt / t2i) for t2i in cfg.t2)
+    return np.kron([[1.0, lam1], [lam1, 1.0]], [[1.0, lam2], [lam2, 1.0]])
 
 
 def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:

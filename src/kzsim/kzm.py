@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, model
-from .errors import InvalidParam, UnknownFigure, WorkLimitExceeded
+from .errors import InvalidParam, UnknownFigure
 from .evolve import SweepConfig
 from .model import ModelParams
 from .smallmat import hermitian_eig
@@ -188,10 +188,7 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     """
     cfgs = [SweepConfig.from_rate(bx, k, **options) for bx in bx_values for k in k_values]
     work = sum(evolve._work(c) for c in cfgs)
-    if work > evolve.MAX_SUBSTEPS:
-        raise WorkLimitExceeded(
-            f"grid of {len(cfgs)} scans needs {work} propagator steps, above the"
-            f" limit of {evolve.MAX_SUBSTEPS}")
+    evolve._check_work(work, f"grid of {len(cfgs)} scans needs {work} propagator steps")
     pts = sorted((quench_time(c.bx, c.k) / tau0(c.bx), evolve.scan(c).final_defect)
                  for c in cfgs)
     alpha_hat, r = fit_scaling(pts)
@@ -218,11 +215,8 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     half_window = 10.0 * math.sqrt(2) * bx
     z0 = -1.0 - half_window
     total = 2.0 * half_window / k
-    n = total / evolve.REFERENCE_SUBSTEP
-    n = max(1, math.ceil(n)) if math.isfinite(n) else n
-    if n > evolve.MAX_SUBSTEPS:
-        raise WorkLimitExceeded(
-            f"lz-check needs {n} substeps, above the limit of {evolve.MAX_SUBSTEPS}")
+    n = evolve._substep_count(total)
+    evolve._check_work(n, f"lz-check needs {n} substeps")
     h = total / n
     sd = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z0)))
     psi = sd.eigenvectors[:, 0]

@@ -46,11 +46,26 @@ Z1Z2_SUM = np.kron(SIGMA_Z, IDENT2) + np.kron(IDENT2, SIGMA_Z)
 ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 _PHASE_TOL = 1e-12
+# largest |bx| and |bz| accepted, in coupling units.  Squares of fields
+# (bx^2 in the Landau-Zener exponent and in tau_q / tau_0 = 4 bx^2 / k) stay
+# below 1e300, and Hamiltonian entries far below the ~9e307 at which the
+# eigensolver's symmetrization (M + M^dag)/2 overflows.
+FIELD_LIMIT = 1e150
+
+
+def _first_outside(value):
+    """The first field of ``value`` (a number or an array) that is not
+    finite or exceeds FIELD_LIMIT in magnitude, or None."""
+    if isinstance(value, np.ndarray):
+        bad = value[~(np.abs(value) <= FIELD_LIMIT)]
+        return bad[0] if bad.size else None
+    return None if abs(value) <= FIELD_LIMIT else value
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Transverse field bx >= 0 and control field bz, both in coupling units.
+    """Transverse field bx >= 0 and control field bz, both in coupling units
+    and at most FIELD_LIMIT in magnitude.
 
     ``bz`` may also be a 1-D array of fields; the Hamiltonian builders,
     ``triplet_spectrum`` and ``relaxation_time`` then return one result per
@@ -61,12 +76,12 @@ class ModelParams:
     bz: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if isinstance(self.bz, np.ndarray):
-            bz_finite = self.bz.ndim == 1 and bool(np.all(np.isfinite(self.bz)))
-        else:
-            bz_finite = math.isfinite(self.bz)
-        if not (math.isfinite(self.bx) and bz_finite):
-            raise InvalidParam("fields must be finite")
+        if isinstance(self.bz, np.ndarray) and self.bz.ndim != 1:
+            raise InvalidParam(f"bz must be a number or a 1-D array, got shape {self.bz.shape}")
+        for name, value in (("bx", self.bx), ("bz", self.bz)):
+            bad = _first_outside(value)
+            if bad is not None:
+                raise InvalidParam(f"{name} must be finite with |{name}| <= {FIELD_LIMIT:g}, got {bad}")
         if self.bx < 0:
             raise InvalidParam(f"transverse field must be >= 0, got {self.bx}")
 
@@ -148,12 +163,3 @@ def relaxation_time(p: ModelParams) -> float | np.ndarray:
         raise GapClosed(f"gap closed at bx={p.bx}, bz={np.extract(closed, p.bz)[0]}")
     return 1.0 / gap
 
-
-def effective_relaxation_time(bx: float, bz: float) -> float:
-    """Relaxation time of the two-level reduction, tau0 / sqrt(1 + eps^2)
-    with eps = |bz + 1| / (sqrt(2) bx) and tau0 = 1 / (2 sqrt(2) bx)."""
-    if bx <= 0:
-        raise GapClosed("effective model needs bx > 0")
-    eps = abs(bz + 1.0) / (math.sqrt(2) * bx)
-    tau0 = 1.0 / (2.0 * math.sqrt(2) * bx)
-    return tau0 / math.sqrt(1.0 + eps * eps)

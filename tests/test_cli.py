@@ -3,13 +3,14 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kzsim import cli, evolve, smallmat
+from kzsim import cli, evolve
 from kzsim.errors import UsageError, ValidationError
 
-HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "", "x", "1,2,3")
+HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "1e200", "", "x", "1,2,3")
 # a few valid values, so that draws also reach the trotter and T2 paths
 ORDINARY = ("0.5", "trotter", "2,0.2")
 _MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
@@ -84,7 +85,12 @@ def test_exit_codes(tmp_path, monkeypatch):
                  ["scan", "--k", "1e-6"], ["scan", "--bz-end", "1e6"],
                  ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"],
                  ["scan", "--delta-b", "1e-320"], ["lz-check", "--k", "1e-320"],
-                 ["scan", "--b0", "1e308"], ["scan", "--bz-end", "1e308", "--delta-b", "1e308"]):
+                 ["scan", "--b0", "1e308"], ["scan", "--bz-end", "1e308", "--delta-b", "1e308"],
+                 ["scan", "--backend", "trotter", "--k", "1e-300", "--bx", "1e10"],
+                 ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10"],
+                 ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10", "--t2", "2,0.2"],
+                 ["scan", "--bx", "1e308"], ["scan", "--bx", "1e200"], ["schedule", "--bx", "1e308"],
+                 ["lz-check", "--bx", "1e200", "--k", "1e300"]):
         assert cli.main(argv) == 3, argv
 
 
@@ -127,9 +133,12 @@ def test_unbounded_work_refused_with_count(tmp_path, monkeypatch, capsys):
 
 
 def test_jacobi_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", 1)
+    def raising(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", raising)
     assert run(["lz-check"], tmp_path, monkeypatch) == 3
-    assert capsys.readouterr().err.startswith("error: Jacobi iteration")
+    assert capsys.readouterr().err.startswith("error: eigendecomposition of a 2x2 matrix failed")
 
 
 def test_scan_writes_trace(tmp_path, monkeypatch):

@@ -41,6 +41,23 @@ def test_config_validation():
         SweepConfig.from_rate(0.1, 1.0, backend="magic")
 
 
+def test_fields_and_trotter_phases_bounded():
+    limit = model.FIELD_LIMIT
+    for field in ("bx", "b0", "bz_end"):
+        with pytest.raises(ConfigInconsistent, match=f"{field} must be finite with"):
+            SweepConfig.from_rate(**{"bx": 0.1, "k": 1.0, field: 2 * limit})
+    # delta = 1e299: delta * bx overflows on the trotter backend only
+    with pytest.raises(ConfigInconsistent, match="trotter phase"):
+        SweepConfig.from_rate(1e10, 1e-300, backend="trotter")
+    with pytest.raises(WorkLimitExceeded):
+        SweepConfig.from_rate(1e10, 1e-300)
+    # and delta * (1 - 2 b0), with a finite delta * bx
+    with pytest.raises(ConfigInconsistent, match="trotter phase"):
+        SweepConfig.from_rate(0.0, 1e-300, b0=-1e9, bz_end=-1e9 + 0.5, delta_b=0.5,
+                              backend="trotter")
+    SweepConfig.from_rate(1.0, 1e-300, backend="trotter")  # phases up to 4e299
+
+
 def test_trotter_step_exact_when_field_off():
     p = ModelParams(bx=0.0, bz=-0.7)
     u_exact = series_expm_minus_i(model.driven_hamiltonian(p), 0.3)
@@ -279,6 +296,24 @@ def test_dephasing_trace_and_positivity():
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
+def test_phase_damping_mask_matches_loops():
+    # the mask as a product over the qubits whose bits differ, bit for bit
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+    for t2, k in (((2.0, 0.2), 1.0), ((0.2, 2.0), 0.25), ((1e-3, 7.0), 1 / 30)):
+        cfg = SweepConfig.from_rate(0.1, k, t2=t2)
+        dt = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
+        lam = [math.exp(-dt / t2i) for t2i in t2]
+        loops = np.ones((4, 4))
+        for a in range(4):
+            for b in range(4):
+                f = 1.0
+                for qubit in range(2):
+                    if bits[a][qubit] != bits[b][qubit]:
+                        f *= lam[qubit]
+                loops[a, b] = f
+        assert evolve.phase_damping_factors(cfg).tobytes() == loops.tobytes()
+
+
 def test_dephasing_fully_mixed_input():
     cfg = SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2))
     trace = dephase_propagate(cfg, np.eye(4, dtype=complex) / 4)
@@ -312,9 +347,6 @@ def test_stacked_concurrence_matches_single_states():
     psi = np.concatenate([psi / np.linalg.norm(psi, axis=1)[:, None], [PHI_PLUS, KET_00]])
     conc = concurrence(psi)
     assert conc.tobytes() == np.array([concurrence(s) for s in psi]).tobytes()
-    # and numpy's complex scalar arithmetic, bit for bit
-    scalar = [min(1.0, float(2.0 * abs(s[0] * s[3] - s[1] * s[2]))) for s in psi]
-    assert conc.tobytes() == np.array(scalar).tobytes()
     pure = np.stack([np.outer(s, s.conj()) for s in psi])
     rho = 0.7 * pure + 0.3 * pure[::-1]
     stacked = concurrence_mixed(rho)

@@ -6,11 +6,10 @@ import pytest
 from kzsim import model
 from kzsim.errors import DegenerateGround, GapClosed, InvalidParam
 from kzsim.model import (ModelParams, PHI_MINUS, SWAP, driven_hamiltonian,
-                         effective_hamiltonian, effective_relaxation_time,
-                         ground_state, ground_vector, relaxation_time,
-                         triplet_block, triplet_spectrum)
+                         effective_hamiltonian, ground_state, ground_vector,
+                         relaxation_time, triplet_block, triplet_spectrum)
 
-from oracles import cardano_eigvals3
+from oracles import cardano_eigvals3, effective_relaxation_time
 
 TAU0_01 = 1.0 / (2.0 * math.sqrt(2) * 0.1)
 
@@ -181,6 +180,11 @@ def test_invalid_params():
         ModelParams(bx=-0.1, bz=0.0)
     with pytest.raises(InvalidParam):
         ModelParams(bx=math.nan, bz=0.0)
+    limit = model.FIELD_LIMIT
+    ModelParams(bx=limit, bz=np.array([-limit, limit]))
+    for bx, bz in ((1e200, 0.0), (0.1, -1e200), (0.1, np.array([0.0, 1e200]))):
+        with pytest.raises(InvalidParam, match=f"must be finite with .* got -?1e\\+200"):
+            ModelParams(bx=bx, bz=bz)
 
 
 def test_stacked_builders_match_single_fields():

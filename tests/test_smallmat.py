@@ -10,7 +10,8 @@ from kzsim.errors import DimensionMismatch, NoConvergence, NonHermitianInput
 from kzsim.model import ModelParams, triplet_block
 from kzsim.smallmat import hermitian_eig, unitary_step
 
-from oracles import cardano_eigvals3, cardano_eigvec3, random_hermitian, series_expm_minus_i
+from oracles import (cardano_eigvals3, cardano_eigvec3, jacobi, random_hermitian,
+                     series_expm_minus_i)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -164,17 +165,17 @@ def test_phase_convention():
             assert lead.real > 0
 
 
-# seeds of random_hermitian whose matrix needs the most Jacobi sweeps among
-# seeds 0..999: 2, 5 and 6 passes of the convergence check for dimension
-# 2, 3 and 4
+# seeds of random_hermitian whose matrix needs the most sweeps of the
+# Jacobi oracle among seeds 0..999: 2, 5 and 6 passes of its convergence
+# check for dimension 2, 3 and 4
 SLOWEST_SEED = {2: 999, 3: 999, 4: 986}
 
 
 def special_members(dim):
     """A degenerate matrix, diag(2, 1, 1) in a rotated basis, whose cluster
-    the plain sort would order differently from the cluster rule; one whose
-    zero off-diagonal elements are skipped while the rest rotate; and the
-    slowest-converging one.  The skipping one carries negative zeros."""
+    the plain sort would order differently from the cluster rule; one with
+    exact zero off-diagonal elements, some of them negative zeros; and the
+    one the Jacobi oracle converges on most slowly."""
     u = unitary_step(random_hermitian(np.random.default_rng(0), dim), 1.0)
     degenerate = u @ np.diag({2: [1.0, 1.0], 3: [2.0, 1.0, 1.0],
                               4: [2.0, 1.0, 1.0, 3.0]}[dim]) @ u.conj().T
@@ -209,16 +210,33 @@ def test_stack_bits_match_single_calls(stack, delta):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_special_members_take_their_paths(dim, monkeypatch):
-    degenerate, skipping, slowest = special_members(dim)
+def test_special_members_take_their_paths(dim):
+    degenerate = special_members(dim)[0]
     sd = hermitian_eig(degenerate)
     assert np.min(np.diff(sd.eigenvalues)) <= smallmat.DEGENERACY_TOL  # a cluster
-    # one sweep short of what the slowest member needs: only it fails
-    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", {2: 1, 3: 4, 4: 5}[dim])
-    if dim > 2:
-        hermitian_eig(np.stack([degenerate, skipping]))
-    with pytest.raises(NoConvergence):
-        hermitian_eig(np.stack([degenerate, skipping, slowest]))
+
+
+def test_matches_jacobi_oracle():
+    """LAPACK against the scalar Jacobi of tests/oracles.py, which does not
+    use it: eigenvalues within 1e-12 of the spectral scale max(1, max|w|),
+    and |<v_oracle|v>| within 1e-10 of 1 for every level farther than 1e-6
+    of that scale from its neighbours."""
+    groups = [*kernel_groups(), *(special_members(dim) for dim in (2, 3, 4))]
+    for group in groups:
+        stacked = hermitian_eig(np.stack(group))
+        for i, h in enumerate(group):
+            w_oracle, v_oracle = jacobi(h)
+            order = np.argsort(w_oracle, kind="stable")
+            w_oracle, v_oracle = w_oracle[order], v_oracle[:, order]
+            scale = max(1.0, float(np.max(np.abs(w_oracle))))
+            gaps = np.diff(w_oracle)
+            simple = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) > 1e-6 * scale
+            one = hermitian_eig(h)
+            for w, v in ((one.eigenvalues, one.eigenvectors),
+                         (stacked.eigenvalues[i], stacked.eigenvectors[i])):
+                assert np.max(np.abs(w - w_oracle)) <= 1e-12 * scale
+                overlap = np.abs(np.sum(v_oracle.conj() * v, axis=0))
+                assert np.all(np.abs(overlap - 1.0)[simple] <= 1e-10)
 
 
 @pytest.mark.parametrize("fn", [hermitian_eig, lambda m: unitary_step(m, 0.1)])
@@ -252,21 +270,33 @@ def test_empty_stack():
 
 
 def test_jacobi_non_convergence_raises(monkeypatch):
-    monkeypatch.setattr(smallmat, "_JACOBI_MAX_SWEEPS", 1)
+    # a LAPACK failure and a non-finite result both raise NoConvergence
+    def raising(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def not_finite(a):
+        return np.full(a.shape[:-1], np.nan), a
+
     h = random_hermitian(np.random.default_rng(3), 4)
-    with pytest.raises(NoConvergence, match="did not converge in 1 sweeps"):
-        hermitian_eig(h)
-    with pytest.raises(NoConvergence):
-        unitary_step(np.stack([h, h]), 0.1)
-    # a diagonal matrix converges before its first sweep
-    assert np.array_equal(hermitian_eig(np.diag([2.0, 1.0]).astype(complex)).eigenvalues,
-                          [1.0, 2.0])
+    for eigh in (raising, not_finite):
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NoConvergence, match="4x4"):
+            hermitian_eig(h)
+        with pytest.raises(NoConvergence):
+            unitary_step(np.stack([h, h]), 0.1)
+
+
+def test_symmetrization_overflow_rejected():
+    # finite entries whose (M + M^dag)/2 overflows
+    for m in (np.diag([1.7e308, 1.0]), np.stack([np.eye(3), np.diag([1.0, -1.7e308, 0.0])])):
+        with pytest.raises(NonHermitianInput, match="overflows"):
+            hermitian_eig(m)
 
 
 # sha256 of the eigenvalues, eigenvectors and 0.01-unit propagators of
-# kernel_groups(), as the single-matrix kernel computed them before stacks
-# existed; like tests/golden, tied to this numpy and platform libm
-KERNEL_BITS = "a0e50d1999acae21881ef030254bb7128cc2b8f6d4228ea3281b5af29c46f115"
+# kernel_groups(); like tests/golden, tied to this numpy, its bundled
+# OpenBLAS/LAPACK build and the CPU kernels it picks at run time
+KERNEL_BITS = "b76ebc1d29f362a62356fa14fbaf0f4e03ebcc38b63f3c6da89fe2ae9fdd3bf4"
 
 
 def kernel_groups():
