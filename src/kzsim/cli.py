@@ -20,8 +20,17 @@ from dataclasses import dataclass
 from . import evolve, kzm, protocol
 from .errors import IoError, KzsimError, UsageError, ValidationError
 
-_DEFAULTS = dict(bx=0.1, k=1.0, b0=evolve.B0, bz_end=evolve.BZ_END,
-                 delta_b=evolve.DELTA_B, backend="reference", j_hz=evolve.J_HZ)
+# the model and sweep flags that several commands share, with their settings
+_FLAGS = {
+    "--bx": dict(type=float, default=0.1),
+    "--k": dict(type=float, default=1.0),
+    "--b0": dict(type=float, default=evolve.B0),
+    "--bz-end": dict(type=float, default=evolve.BZ_END),
+    "--delta-b": dict(type=float, default=evolve.DELTA_B),
+    "--j-hz": dict(type=float, default=evolve.J_HZ),
+    "--backend": dict(choices=evolve.BACKENDS, default="reference"),
+    "--t2": dict(help="T2 pair in seconds, e.g. 2,0.2"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,8 @@ def _parse_k_values(text: str) -> tuple[float, ...]:
         raise ValidationError(f"cannot parse --k-grid {text!r}: {exc}") from None
     if not values:
         raise ValidationError("--k-grid must name at least one rate")
+    if any(k <= 0 for k in values):
+        raise ValidationError("scan rates must be positive")
     return values
 
 
@@ -79,32 +90,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kzsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p, bz_end=True):
-        p.add_argument("--bx", type=float, default=_DEFAULTS["bx"])
-        p.add_argument("--k", type=float, default=_DEFAULTS["k"])
-        p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
-        if bz_end:
-            p.add_argument("--bz-end", type=float, default=_DEFAULTS["bz_end"])
-        p.add_argument("--delta-b", type=float, default=_DEFAULTS["delta_b"])
-        p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
+    def add_flags(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
     p = sub.add_parser("scan", help="single sweep, trace CSV")
-    add_model_flags(p)
-    p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
-    p.add_argument("--t2", default=None, help="T2 pair in seconds, e.g. 2,0.2")
+    add_flags(p, "--bx", "--k", "--b0", "--bz-end", "--delta-b", "--j-hz", "--backend", "--t2")
     p.add_argument("--out", default="scan.csv")
 
     for name, text, out in (("sweep", "defect scaling points, CSV", "sweep.csv"),
                             ("fit", "scaling sweep plus linear fit, JSON", "fit.json")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--bx", type=float, action="append", dest="bx_values")
-        p.add_argument("--k-grid", default="ideal",
+        p.add_argument("--k-grid", dest="k_values", metavar="K_GRID", default="ideal",
                        help="'ideal', 'experiment' or comma-separated rates")
-        p.add_argument("--b0", type=float, default=_DEFAULTS["b0"])
-        p.add_argument("--bz-end", type=float, default=_DEFAULTS["bz_end"])
-        p.add_argument("--backend", choices=evolve.BACKENDS, default=_DEFAULTS["backend"])
-        p.add_argument("--t2", default=None)
-        p.add_argument("--j-hz", type=float, default=_DEFAULTS["j_hz"])
+        add_flags(p, "--b0", "--bz-end", "--backend", "--t2", "--j-hz")
         p.add_argument("--out", default=out)
 
     p = sub.add_parser("figure", help="reproduce a published dataset, CSV")
@@ -112,13 +112,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("schedule", help="pulse program for one protocol run")
-    add_model_flags(p, bz_end=False)
+    add_flags(p, "--bx", "--k", "--b0", "--delta-b", "--j-hz")
     p.add_argument("--j", type=int, default=15, help="number of sweep segments")
     p.add_argument("--out", default="schedule.txt")
 
     p = sub.add_parser("lz-check", help="two-level sweep vs crossing formula, JSON")
-    p.add_argument("--bx", type=float, default=_DEFAULTS["bx"])
-    p.add_argument("--k", type=float, default=_DEFAULTS["k"])
+    add_flags(p, "--bx", "--k")
     p.add_argument("--out", default="lz-check.json")
 
     for p in sub.choices.values():
@@ -127,42 +126,27 @@ def build_parser() -> _Parser:
 
 
 def parse_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    params: dict = {}
+    # every dest but these three is a parameter of the command
+    params = vars(build_parser().parse_args(argv))
+    command, out, print_config = (params.pop(key) for key in ("command", "out", "print_config"))
     if command in ("scan", "schedule", "lz-check"):
-        if ns.k <= 0:
-            raise ValidationError(f"--k must be positive, got {ns.k}")
-        if ns.bx < 0:
-            raise ValidationError(f"--bx must be >= 0, got {ns.bx}")
-    if command == "scan":
-        params = dict(bx=ns.bx, k=ns.k, b0=ns.b0, bz_end=ns.bz_end,
-                      delta_b=ns.delta_b, backend=ns.backend,
-                      t2=_parse_t2(ns.t2), j_hz=ns.j_hz)
-    elif command in ("sweep", "fit"):
-        bx_values = tuple(ns.bx_values) if ns.bx_values else (_DEFAULTS["bx"],)
-        if any(b <= 0 for b in bx_values):
+        if params["k"] <= 0:
+            raise ValidationError(f"--k must be positive, got {params['k']}")
+        if params["bx"] < 0:
+            raise ValidationError(f"--bx must be >= 0, got {params['bx']}")
+    if command in ("sweep", "fit"):
+        params["bx_values"] = tuple(params["bx_values"] or (_FLAGS["--bx"]["default"],))
+        if any(b <= 0 for b in params["bx_values"]):
             raise ValidationError("--bx values must be positive for scaling sweeps")
-        k_values = _parse_k_values(ns.k_grid)
-        if any(k <= 0 for k in k_values):
-            raise ValidationError("scan rates must be positive")
-        params = dict(bx_values=bx_values, k_values=k_values, b0=ns.b0,
-                      bz_end=ns.bz_end, backend=ns.backend,
-                      t2=_parse_t2(ns.t2), j_hz=ns.j_hz)
-    elif command == "figure":
-        params = dict(figure_id=ns.figure_id)
-    elif command == "schedule":
-        if ns.j < 0:
-            raise ValidationError(f"--j must be >= 0, got {ns.j}")
-        params = dict(bx=ns.bx, k=ns.k, b0=ns.b0, delta_b=ns.delta_b,
-                      j_hz=ns.j_hz, j=ns.j)
-    elif command == "lz-check":
-        params = dict(bx=ns.bx, k=ns.k)
-    out = ns.out
-    if command == "figure" and out is None:
-        out = f"{ns.figure_id}.csv"
+    elif command == "figure" and out is None:
+        out = f"{params['figure_id']}.csv"
+    elif command == "schedule" and params["j"] < 0:
+        raise ValidationError(f"--j must be >= 0, got {params['j']}")
+    for key, parse in (("k_values", _parse_k_values), ("t2", _parse_t2)):
+        if key in params:
+            params[key] = parse(params[key])
     cfg = RunConfig(command=command, params=params, out=out)
-    if ns.print_config:
+    if print_config:
         sys.stdout.write(cfg.normalized())
         raise SystemExit(0)
     return cfg
@@ -217,11 +201,10 @@ def execute(cfg: RunConfig) -> int:
             f"{data.figure_id}: {data.note}", data.header, data.rows))
     elif cfg.command == "schedule":
         p = cfg.params
-        sweep = evolve.SweepConfig.from_rate(
-            p["bx"], p["k"], b0=p["b0"], bz_end=p["b0"] + p["j"] * p["delta_b"],
-            delta_b=p["delta_b"], backend="trotter", j_hz=p["j_hz"],
-        )
-        sched = protocol.nmr_schedule(sweep, j=p["j"])
+        evolve._require(positive=True, delta_b=p["delta_b"])  # the flag, not delta, is named
+        sched = protocol.nmr_schedule(evolve.SweepConfig(
+            p["bx"], p["k"], delta=p["delta_b"] / p["k"], steps=p["j"], b0=p["b0"],
+            backend="trotter", j_hz=p["j_hz"]))
         _atomic_write(cfg.out, sched.to_text())
         sys.stdout.write(
             f"schedule with {p['j']} segments, total delay"

@@ -37,7 +37,7 @@ class NoConvergence(KzsimError):
 
 
 class ConfigInconsistent(_InvalidConfiguration):
-    """Sweep configuration violates the ramp consistency invariant."""
+    """Sweep configuration is out of range or describes no whole scan."""
 
 
 class InvalidT2(KzsimError):

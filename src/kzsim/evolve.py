@@ -55,7 +55,6 @@ BZ_END = -0.2
 DELTA_B = 0.1
 J_HZ = 215.0
 
-_RAMP_TOL = 1e-12
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
@@ -73,12 +72,12 @@ class SweepConfig:
     """Full description of one scan.
 
     ``k`` is the scan rate, ``delta`` the segment duration and ``steps`` the
-    number of segments, tied together by k * delta * steps = bz_end - b0.
-    ``t2`` optionally holds the two transverse relaxation times in seconds,
-    converted to per-segment decay using the coupling ``j_hz`` in Hz.  A
-    scan of more than MAX_SUBSTEPS propagator steps is refused, and so is a
-    trotter scan whose phases per segment (delta bx and delta (1 +- 2 bz)
-    over the window) overflow.
+    number of segments; the window runs from ``b0`` to ``bz_end`` =
+    ``field(steps)``.  ``t2`` optionally holds the two transverse relaxation
+    times in seconds, converted to per-segment decay using the coupling
+    ``j_hz`` in Hz.  A scan of more than MAX_SUBSTEPS propagator steps is
+    refused, and so is a trotter scan whose phases per segment (delta bx
+    and delta (1 +- 2 bz) over the window) overflow.
     """
 
     bx: float
@@ -86,7 +85,6 @@ class SweepConfig:
     delta: float
     steps: int
     b0: float = B0
-    bz_end: float = BZ_END
     backend: str = "reference"
     t2: tuple[float, float] | None = None
     j_hz: float = J_HZ
@@ -98,12 +96,6 @@ class SweepConfig:
             raise ConfigInconsistent(f"segment count must be >= 0, got {self.steps}")
         if self.backend not in BACKENDS:
             raise ConfigInconsistent(f"unknown backend {self.backend!r}")
-        span = self.bz_end - self.b0
-        if abs(self.k * self.delta * self.steps - span) > _RAMP_TOL:
-            raise ConfigInconsistent(
-                f"ramp inconsistent: k*delta*steps = {self.k * self.delta * self.steps}"
-                f" but bz_end - b0 = {span}"
-            )
         if self.backend == "trotter":
             phase = self.delta * max(abs(self.bx), 2 * abs(self.b0) + 1, 2 * abs(self.bz_end) + 1)
             if not math.isfinite(phase):
@@ -117,6 +109,16 @@ class SweepConfig:
     def delta_b(self) -> float:
         """Field increment per segment."""
         return self.k * self.delta
+
+    @property
+    def bz_end(self) -> float:
+        """Field at the end of the window."""
+        return self.field(self.steps)
+
+    def field(self, j: int | np.ndarray) -> float | np.ndarray:
+        """Field at boundary j (0..steps; an int or an array), which is also
+        the field held during segment j, sampled at its end point."""
+        return self.b0 + j * self.delta_b
 
     @classmethod
     def from_rate(
@@ -143,22 +145,8 @@ class SweepConfig:
                 f"scan window [{b0}, {bz_end}] is not a whole number of"
                 f" delta_b = {delta_b} segments"
             )
-        # delta_b/k then k*delta*steps may be off by float rounding; rescale
-        # bz_end onto the realized grid so the stored config is exact.
-        delta = delta_b / k
-        end = b0 + k * delta * steps
-        return cls(
-            bx=bx, k=k, delta=delta, steps=steps, b0=b0, bz_end=end,
-            backend=backend, t2=t2, j_hz=j_hz,
-        )
-
-    def segment_field(self, m: int) -> float:
-        """Field held during segment m (1-based), sampled at its end point."""
-        return self.b0 + m * self.delta_b
-
-    def boundary_field(self, j: int) -> float:
-        """Field label of the j-th recorded boundary (j = 0..steps)."""
-        return self.b0 + j * self.delta_b
+        return cls(bx=bx, k=k, delta=delta_b / k, steps=steps, b0=b0,
+                   backend=backend, t2=t2, j_hz=j_hz)
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,7 @@ def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None
     last = cfg.steps if last is None else last
     if cfg.backend == "trotter":
         for m in range(first, last + 1):
-            yield [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta)]
+            yield [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(m)), cfg.delta)]
         return
     nsub = _substeps(cfg)
     h = cfg.delta / nsub
@@ -322,6 +310,13 @@ def _observe_mixed(rho: np.ndarray, vectors: np.ndarray):
     return pops, concurrence_mixed(rho)
 
 
+def _advance(psi: np.ndarray, unitaries) -> np.ndarray:
+    """Apply ``unitaries`` to the state vector ``psi`` in the order given."""
+    for u in unitaries:
+        psi = u @ psi
+    return psi
+
+
 def _run(cfg: SweepConfig, state: np.ndarray, advance, observe) -> ScanTrace:
     """Scan loop shared by the pure and the mixed run.
 
@@ -332,7 +327,7 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, observe) -> ScanTrace:
     """
     n = cfg.steps + 1
     steps = np.arange(n)
-    bz = cfg.b0 + steps * cfg.delta_b
+    bz = cfg.field(steps)
     pops, conc = np.empty((n, 3)), np.empty(n)
     states = itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
     for lo in range(0, n, SUBSTEP_CHUNK):
@@ -356,15 +351,9 @@ def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
     psi = np.asarray(initial, dtype=complex).copy()
     if psi.shape != (4,):
         raise ValueError(f"initial state must have 4 components, got {psi.shape}")
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-8:
+    if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError("initial state is not normalized")
-
-    def advance(psi, unitaries):
-        for u in unitaries:
-            psi = u @ psi
-        return psi
-
-    return _run(cfg, psi, advance, _observe_pure)
+    return _run(cfg, psi, _advance, _observe_pure)
 
 
 def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
@@ -395,7 +384,7 @@ def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:
     rho = np.asarray(rho0, dtype=complex).copy()
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+    if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
         raise ValueError("density matrix must have unit trace")
     mask = phase_damping_factors(cfg)
 

@@ -26,7 +26,7 @@ from . import evolve, model
 from .errors import InvalidParam, UnknownFigure
 from .evolve import SweepConfig
 from .model import ModelParams
-from .smallmat import hermitian_eig
+from .smallmat import DEGENERACY_TOL, hermitian_eig
 
 # grid of scan rates for the smooth-model scaling fits; log-spaced and wider
 # than the experimental 1/4..1 window so the fit is not dominated by the
@@ -177,6 +177,18 @@ def fit_scaling(points) -> tuple[float, float]:
     return -slope, r
 
 
+def _tau_ratio(cfg: SweepConfig) -> float:
+    """tau_q/tau_0 = 4 bx^2/k of a scan, refused when it overflows."""
+    x = quench_time(cfg.bx, cfg.k) / tau0(cfg.bx)
+    if not math.isfinite(x):
+        raise InvalidParam(f"tau_q/tau_0 = 4 bx^2/k overflows at bx={cfg.bx}, k={cfg.k}")
+    return x
+
+
+def _scaling_point(cfg: SweepConfig) -> tuple[float, float]:
+    return _tau_ratio(cfg), evolve.scan(cfg).final_defect
+
+
 def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     """One scan per (bx, k) pair; defect sampled at the end of the window.
 
@@ -184,13 +196,15 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     at bz = -0.2.  The points are pooled into a single fit, so call once per
     transverse field for per-field estimates or with both fields for the
     pooled experimental-grid estimate.  A grid of more than
-    evolve.MAX_SUBSTEPS propagator steps in all is refused before any scan.
+    evolve.MAX_SUBSTEPS propagator steps in all, or with a tau_q/tau_0
+    that overflows, is refused before any scan.
     """
     cfgs = [SweepConfig.from_rate(bx, k, **options) for bx in bx_values for k in k_values]
     work = sum(evolve._work(c) for c in cfgs)
     evolve._check_work(work, f"grid of {len(cfgs)} scans needs {work} propagator steps")
-    pts = sorted((quench_time(c.bx, c.k) / tau0(c.bx), evolve.scan(c).final_defect)
-                 for c in cfgs)
+    for c in cfgs:
+        _tau_ratio(c)
+    pts = sorted(_scaling_point(c) for c in cfgs)
     alpha_hat, r = fit_scaling(pts)
     return ScalingFit(
         points=tuple(pts),
@@ -208,7 +222,8 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
 
     The detuning bz + 1 runs from -10 sqrt(2) bx to +10 sqrt(2) bx at rate k,
     integrated with midpoint substeps of at most 0.01 time units; more than
-    evolve.MAX_SUBSTEPS of them are refused.
+    evolve.MAX_SUBSTEPS of them are refused, and so are window ends whose
+    levels are not split beyond smallmat.DEGENERACY_TOL.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
         raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
@@ -218,17 +233,19 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     n = evolve._substep_count(total)
     evolve._check_work(n, f"lz-check needs {n} substeps")
     h = total / n
-    sd = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z0)))
-    psi = sd.eigenvectors[:, 0]
+    ends = [hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z)))
+            for z in (z0, z0 + k * total)]
+    for sd in ends:  # levels within DEGENERACY_TOL are ordered by basis index, not energy
+        if not sd.gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(sd.eigenvalues)))):
+            raise InvalidParam(f"the levels at a window end are split by {sd.gap:.3g}, within"
+                               f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
 
     def hamiltonians(i):
         return model.effective_hamiltonian(ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h))
 
-    for u in evolve._midpoint_steps(hamiltonians, 0, n, h):
-        psi = u @ psi
-    z1 = z0 + k * total
-    sd = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z1)))
-    p_numeric = float(abs(np.vdot(sd.eigenvectors[:, 1], psi)) ** 2)
+    steps = evolve._midpoint_steps(hamiltonians, 0, n, h)
+    psi = evolve._advance(ends[0].eigenvectors[:, 0], steps)
+    p_numeric = float(abs(np.vdot(ends[1].eigenvectors[:, 1], psi)) ** 2)
     p_formula = math.exp(-2.0 * math.pi * bx * bx / k)
     return p_numeric, p_formula
 
@@ -266,35 +283,23 @@ def _fig_populations():
 
 def _fig_defect_curves():
     rows = []
+    variants = [(k, b, None, b) for k in EXPERIMENT_K_VALUES for b in ("reference", "trotter")]
+    variants.append((0.25, "trotter", T2_DEFAULT, "trotter-t2"))
     for bx in EXPERIMENT_BX_VALUES:
-        for k in EXPERIMENT_K_VALUES:
-            for backend in ("reference", "trotter"):
-                trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend))
-                for i in range(len(trace)):
-                    rows.append((bx, k, backend, trace.t[i], trace.bz[i], trace.defect[i]))
-        trace = evolve.scan(SweepConfig.from_rate(bx, 0.25, bz_end=0.0,
-                                                  backend="trotter", t2=T2_DEFAULT))
-        for i in range(len(trace)):
-            rows.append((bx, 0.25, "trotter-t2", trace.t[i], trace.bz[i], trace.defect[i]))
+        for k, backend, t2, label in variants:
+            trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend, t2=t2))
+            for i in range(len(trace)):
+                rows.append((bx, k, label, trace.t[i], trace.bz[i], trace.defect[i]))
     return rows
-
-
-def _scaling_point(bx: float, k: float, backend: str) -> tuple[float, float]:
-    trace = evolve.scan(SweepConfig.from_rate(bx, k, backend=backend))
-    return quench_time(bx, k) / tau0(bx), trace.final_defect
 
 
 def _fig_scaling_points():
-    rows = []
-    for bx in EXPERIMENT_BX_VALUES:
-        for k in sorted(IDEAL_K_VALUES, reverse=True):
-            x, d = _scaling_point(bx, k, "reference")
-            rows.append((f"ideal-bx{bx}", bx, k, x, d))
-    for bx in EXPERIMENT_BX_VALUES:
-        for k in EXPERIMENT_K_VALUES:
-            x, d = _scaling_point(bx, k, "trotter")
-            rows.append(("experiment-grid", bx, k, x, d))
-    return rows
+    series = [(f"ideal-bx{bx}", bx, k, "reference")
+              for bx in EXPERIMENT_BX_VALUES for k in sorted(IDEAL_K_VALUES, reverse=True)]
+    series += [("experiment-grid", bx, k, "trotter")
+               for bx in EXPERIMENT_BX_VALUES for k in EXPERIMENT_K_VALUES]
+    return [(name, bx, k, *_scaling_point(SweepConfig.from_rate(bx, k, backend=backend)))
+            for name, bx, k, backend in series]
 
 
 def _fig_concurrence():

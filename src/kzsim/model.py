@@ -91,7 +91,7 @@ class GroundState:
     """Instantaneous ground state over {|00>, |phi+>, |11>}.
 
     The amplitudes are real by the phase convention: c0 >= 0 whenever
-    |c0| > 1e-12, otherwise cplus >= 0.
+    |c0| > 1e-12, otherwise the first nonzero of cplus and c1 is positive.
     """
 
     c0: float
@@ -144,7 +144,8 @@ def ground_state(p: ModelParams) -> GroundState:
             f"ground state degenerate at bx={p.bx}, bz={p.bz} (gap {sd.gap:.2e})"
         )
     vec = sd.eigenvectors[:, 0]
-    ref = vec[0] if abs(vec[0]) > _PHASE_TOL else vec[1]
+    # a unit vector with |c0| <= 1e-12 has a nonzero cplus or c1
+    ref = vec[0] if abs(vec[0]) > _PHASE_TOL else next(x for x in vec[1:] if x != 0)
     vec = vec * (ref.conjugate() / abs(ref))
     c0, cplus, c1 = (float(x.real) for x in vec)
     return GroundState(c0=c0, cplus=cplus, c1=c1, energy=float(sd.eigenvalues[0]))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NoValidBranch
-from .evolve import SweepConfig, trotter_step
+from .evolve import SweepConfig, _advance, trotter_step
 from .model import GroundState, KET_00, ModelParams, ground_state
 
 # schedule entries: ("pulse", channel, axis, flip_rad) | ("offset", hz)
@@ -159,11 +159,10 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     if not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j} outside 0..{cfg.steps}")
     p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
-    psi = p0 @ KET_00
-    for m in range(1, j + 1):
-        psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.segment_field(m)), cfg.delta) @ psi
-    gj = ground_state(ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j)))
-    pj = prep_operator(prep_angles(gj))
+    steps = (trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(m)), cfg.delta)
+             for m in range(1, j + 1))
+    psi = _advance(p0 @ KET_00, steps)
+    pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
     psi = pj.conj().T @ psi
     rho = gradient_crush(np.outer(psi, psi.conj()))
     return float(rho[0, 0].real)
@@ -193,19 +192,15 @@ def _unprep_block(a: PrepAngles, j_hz: float) -> tuple[Entry, ...]:
     )
 
 
-def nmr_schedule(cfg: SweepConfig, j: int | None = None) -> PulseSchedule:
-    """Pulse program measuring F(t_j); j defaults to the full scan."""
-    if j is None:
-        j = cfg.steps
-    if not 0 <= j <= cfg.steps:
-        raise IndexOutOfRange(f"segment index {j} outside 0..{cfg.steps}")
+def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
+    """Pulse program measuring F at the end of ``cfg``'s window."""
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
     a0 = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))
-    aj = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.boundary_field(j))))
+    aj = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.bz_end)))
     segments = []
-    for m in range(1, j + 1):
-        nu = cfg.segment_field(m) * cfg.j_hz / 2.0
+    for m in range(1, cfg.steps + 1):
+        nu = cfg.field(m) * cfg.j_hz / 2.0
         segments.append((
             ("pulse", 1, "x", theta),
             ("pulse", 2, "x", theta),

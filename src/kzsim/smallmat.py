@@ -28,33 +28,28 @@ class SpectralData:
     """Eigensystem of a Hermitian matrix, sorted by ascending eigenvalue.
 
     ``eigenvectors`` holds orthonormal columns; ``gap`` is the splitting
-    between the two lowest levels and ``tau`` its inverse (the relaxation
-    time when the matrix is a Hamiltonian in units of the coupling).  For a
-    stack every field gains a leading axis over its members.
+    between the two lowest levels.  For a stack every field gains a leading
+    axis over its members.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     gap: float
-    tau: float
 
 
 def _order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the eigenpairs (w on the last axis, v by columns; either may be
-    a stack) by ascending eigenvalue, and inside a degenerate cluster by the
-    basis index of each vector's largest component."""
-    def take(order):
-        return (np.take_along_axis(w, order, axis=-1),
-                np.take_along_axis(v, order[..., None, :], axis=-1))
-
-    w, v = take(np.argsort(w, axis=-1, kind="stable"))
+    """Sort the eigenpairs (w ascending on the last axis, as ``eigh``
+    returns it, v by columns; either may be a stack) inside each degenerate
+    cluster by the basis index of each vector's largest component."""
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
     # clusters are maximal runs of near-equal eigenvalues
     breaks = np.abs(np.diff(w, axis=-1)) > DEGENERACY_TOL * scale
     if breaks.all():  # no cluster; skips the cost below on most calls
         return w, v
     cluster = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
-    return take(np.lexsort((np.argmax(np.abs(v), axis=-2), cluster), axis=-1))
+    order = np.lexsort((np.argmax(np.abs(v), axis=-2), cluster), axis=-1)
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -88,7 +83,8 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
     defect = float(np.max(np.abs(stack - herm), initial=0.0))
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
-    sym = (stack + herm) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        sym = (stack + herm) / 2.0
     if not np.all(np.isfinite(sym)):
         raise NonHermitianInput("(M + M^dag)/2 overflows; entries must stay below ~9e307")
     try:
@@ -100,10 +96,9 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
     w, v = _order(w, v)
     v = _fix_phases(v)
     gap = w[:, 1] - w[:, 0]
-    tau = np.divide(1.0, gap, out=np.full(gap.shape, math.inf), where=gap > 0.0)
     if a.ndim == 2:
-        return SpectralData(w[0], v[0], float(gap[0]), float(tau[0]))
-    return SpectralData(w, v, gap, tau)
+        return SpectralData(w[0], v[0], float(gap[0]))
+    return SpectralData(w, v, gap)
 
 
 def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:

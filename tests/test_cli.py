@@ -90,8 +90,36 @@ def test_exit_codes(tmp_path, monkeypatch):
                  ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10"],
                  ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10", "--t2", "2,0.2"],
                  ["scan", "--bx", "1e308"], ["scan", "--bx", "1e200"], ["schedule", "--bx", "1e308"],
-                 ["lz-check", "--bx", "1e200", "--k", "1e300"]):
+                 ["lz-check", "--bx", "1e200", "--k", "1e300"],
+                 ["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
+                 ["lz-check", "--bx", "1e-11"], ["lz-check", "--bx", "1e-320"]):
         assert cli.main(argv) == 3, argv
+    assert cli.main(["lz-check", "--bx", "1e-10"]) == 0
+
+
+def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
+    for argv, cause in (
+            (["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
+             "tau_q/tau_0 = 4 bx^2/k overflows at bx=10000.0, k=1e-300"),
+            (["lz-check", "--bx", "1e-11"], "within DEGENERACY_TOL of each other at bx=1e-11"),
+            (["schedule", "--delta-b", "0"], "delta_b must be positive and finite")):
+        assert run(argv, tmp_path, monkeypatch) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and cause in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_edge_windows_give_finite_output(tmp_path, monkeypatch):
+    # a start or an end in |11> (bx = 0, bz > 1), and a schedule of no segments
+    for argv in (["scan", "--bx", "0", "--b0", "1.5", "--bz-end", "2", "--out", "a"],
+                 ["schedule", "--bx", "0", "--b0", "0.5", "--out", "b"],
+                 ["schedule", "--j", "0", "--out", "c"]):
+        assert run(argv, tmp_path, monkeypatch) == 0, argv
+    assert "nan" not in (tmp_path / "a").read_text()
+    for name in ("b", "c"):
+        text = (tmp_path / name).read_text()
+        assert "nan" not in text and text.count("CRUSH") == 1, name
+    assert "DELAY" in (tmp_path / "c").read_text()  # the two preparation delays
 
 
 @settings(max_examples=200, deadline=None,

@@ -33,8 +33,8 @@ def test_config_validation():
     assert cfg.steps == 13
     assert cfg.delta == pytest.approx(0.1)
     assert cfg.delta_b == pytest.approx(0.1)
-    with pytest.raises(ConfigInconsistent):
-        SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=10)  # ramp mismatch
+    assert cfg.bz_end == cfg.field(13) == -1.5 + 13 * (1.0 * (0.1 / 1.0))
+    assert cfg.field(np.arange(14)).tobytes() == (-1.5 + np.arange(14) * cfg.delta_b).tobytes()
     with pytest.raises(ConfigInconsistent):
         SweepConfig.from_rate(0.1, -1.0)
     with pytest.raises(ConfigInconsistent):
@@ -141,7 +141,7 @@ def test_observers_give_eigenstates_unit_populations():
 def test_ground_state_has_no_defects():
     # a scan of no segments observes only its start, the ground state
     for t2 in (None, (2.0, 0.2)):
-        cfg = SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=0, b0=-0.4, bz_end=-0.4, t2=t2)
+        cfg = SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=0, b0=-0.4, t2=t2)
         assert scan(cfg).defect == pytest.approx([0.0], abs=1e-12)
     sd = model.triplet_spectrum(ModelParams(bx=0.1, bz=-0.4))
     pops, _ = evolve._observe_pure(embed(sd.eigenvectors[:, 1])[None], sd.eigenvectors[None])

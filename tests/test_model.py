@@ -106,6 +106,8 @@ def test_ground_state_pure_phases():
     assert (g.c0, g.cplus, g.c1) == (0.0, 1.0, 0.0)
     g = ground_state(ModelParams(bx=0.0, bz=-2.0))
     assert (g.c0, g.cplus, g.c1) == (1.0, 0.0, 0.0)
+    g = ground_state(ModelParams(bx=0.0, bz=2.0))  # |11>: c0 = cplus = 0
+    assert (g.c0, g.cplus, g.c1) == (0.0, 0.0, 1.0)
     g = ground_state(ModelParams(bx=0.1, bz=-2.0))
     assert g.c0**2 > 0.995
     assert g.c0 > 0
@@ -205,7 +207,7 @@ def test_stacked_spectra_match_single_fields():
             one = ModelParams(bx=bx, bz=float(b))
             assert blocks[i].tobytes() == triplet_block(one).tobytes()
             single = triplet_spectrum(one)
-            for name in ("eigenvalues", "eigenvectors", "gap", "tau"):
+            for name in ("eigenvalues", "eigenvectors", "gap"):
                 expected = np.asarray(getattr(single, name)).tobytes()
                 assert getattr(sd, name)[i].tobytes() == expected, (bx, b, name)
     taus = relaxation_time(ModelParams(bx=0.15, bz=bz))

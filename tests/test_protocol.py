@@ -145,7 +145,7 @@ def test_crushed_ground_population():
 
 def test_schedule_examples():
     cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=0.0)
-    s = nmr_schedule(cfg, j=15)
+    s = nmr_schedule(cfg)
     delays = [e[1] for e in s.entries() if e[0] == "delay"]
     # segment delay d = 2*delta/(pi*J)
     assert delays[1] == pytest.approx(2 * 0.1 / (math.pi * 215.0), rel=1e-12)
@@ -161,17 +161,17 @@ def test_schedule_examples():
 def test_schedule_round_trip():
     for bx, k in ((0.1, 1.0), (0.2, 0.25)):
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0)
-        s = nmr_schedule(cfg, j=cfg.steps)
+        s = nmr_schedule(cfg)
         for m, block in enumerate(s.segments, start=1):
             u_seg = simulate_entries(block, s.j_hz)
-            u_ref = trotter_step(ModelParams(bx=bx, bz=cfg.segment_field(m)), cfg.delta)
+            u_ref = trotter_step(ModelParams(bx=bx, bz=cfg.field(m)), cfg.delta)
             assert np.max(np.abs(u_seg - u_ref)) <= 1e-9
 
 
 def test_schedule_simulation_reproduces_overlap():
     cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=0.0)
     j = 15
-    s = nmr_schedule(cfg, j=j)
+    s = nmr_schedule(cfg)
     entries = list(s.prep)
     for block in s.segments:
         entries.extend(block)
@@ -182,14 +182,14 @@ def test_schedule_simulation_reproduces_overlap():
 
 def test_schedule_golden_text():
     cfg = SweepConfig.from_rate(0.1, 1.0, b0=-1.5, bz_end=-1.3)
-    s = nmr_schedule(cfg, j=2)
+    s = nmr_schedule(cfg)
     assert s.to_text() == GOLDEN_SCHEDULE_J2
-    assert nmr_schedule(cfg, j=2).to_text() == GOLDEN_SCHEDULE_J2  # bit-stable
+    assert nmr_schedule(cfg).to_text() == GOLDEN_SCHEDULE_J2  # bit-stable
     assert s.total_duration() == pytest.approx(0.0191968556, abs=1e-9)
 
 
 def test_schedule_crush_not_simulable():
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    s = nmr_schedule(cfg, j=1)
+    s = nmr_schedule(cfg)
     with pytest.raises(ValueError):
         simulate_entries(list(s.entries()), s.j_hz)
