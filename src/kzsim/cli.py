@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -48,6 +49,12 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take any negative float literal (-1e9, -.5) as a value, not as an
+        # option; _negative_number_matcher is a private argparse attribute
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # noqa: D401 - argparse hook
         raise UsageError(message)
 

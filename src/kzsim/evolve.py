@@ -7,12 +7,12 @@ observables at every segment boundary.  Two backends share the segment grid:
   every segment into substeps of at most 0.01 time units and applying the
   exact exponential of the Hamiltonian evaluated at the substep midpoint.
   Halving the substep moves final defect densities by well under 1e-4, which
-  is how convergence to the continuous limit is demonstrated.  The substep
-  exponentials of a scan are computed as stacks of SUBSTEP_CHUNK matrices
-  and applied one at a time, in order.
+  is how convergence to the continuous limit is demonstrated.
 * ``trotter`` emulates the discretized experimental protocol: one split step
   per segment, with the field sampled at the segment's end point (segment m
   runs at bz_m = b0 + m * delta_b, matching the pulse-sequence offsets).
+  Either backend's propagators are computed as stacks of SUBSTEP_CHUNK
+  matrices and applied one at a time, in order.
 
 The trotter split applies the transverse rotation first and the longitudinal
 plus coupling phases second within each segment, the same order in which the
@@ -76,8 +76,8 @@ class SweepConfig:
     ``field(steps)``.  ``t2`` optionally holds the two transverse relaxation
     times in seconds, converted to per-segment decay using the coupling
     ``j_hz`` in Hz.  A scan of more than MAX_SUBSTEPS propagator steps is
-    refused, and so is a trotter scan whose phases per segment (delta bx
-    and delta (1 +- 2 bz) over the window) overflow.
+    refused, and so is a trotter scan whose doubled phases per segment
+    (the pulse flip 2 delta bx, and 2 delta (1 +- 2 bz)) overflow.
     """
 
     bx: float
@@ -97,7 +97,7 @@ class SweepConfig:
         if self.backend not in BACKENDS:
             raise ConfigInconsistent(f"unknown backend {self.backend!r}")
         if self.backend == "trotter":
-            phase = self.delta * max(abs(self.bx), 2 * abs(self.b0) + 1, 2 * abs(self.bz_end) + 1)
+            phase = 2 * self.delta * max(abs(self.bx), 2 * abs(self.b0) + 1, 2 * abs(self.bz_end) + 1)
             if not math.isfinite(phase):
                 raise ConfigInconsistent(
                     f"trotter phase per segment overflows: delta = {self.delta} with"
@@ -140,7 +140,9 @@ class SweepConfig:
             raise WorkLimitExceeded(f"scan window [{b0}, {bz_end}] needs {segments}"
                                     f" segments of delta_b = {delta_b}")
         steps = int(round(segments))
-        if steps <= 0 or abs(steps * delta_b - (bz_end - b0)) > 1e-9:
+        # bz_end - b0 carries a rounding error of about ulp(max(|b0|, |bz_end|))
+        tol = 1e-9 + 4 * math.ulp(max(abs(b0), abs(bz_end)))
+        if steps <= 0 or abs(steps * delta_b - (bz_end - b0)) > tol:
             raise ConfigInconsistent(
                 f"scan window [{b0}, {bz_end}] is not a whole number of"
                 f" delta_b = {delta_b} segments"
@@ -187,20 +189,19 @@ def ramp(b0: float, k: float, t: float) -> float:
 
 
 def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
-    """One split segment propagator.
+    """One split segment propagator, or a stack of them for an array p.bz.
 
     The transverse rotation exp(-i delta bx (sx1+sx2)) acts first, then the
     diagonal part exp(-i delta [bz (sz1+sz2) + sz1 sz2]), mirroring the
     pulse-then-delay layout of one experimental segment.  Both factors are
     exact exponentials of commuting one- and two-qubit terms.
     """
-    a = delta * p.bx
-    rx = np.array([[math.cos(a), -1j * math.sin(a)],
-                   [-1j * math.sin(a), math.cos(a)]], dtype=complex)
-    ux = np.kron(rx, rx)
-    zdiag = np.array([2 * p.bz + 1.0, -1.0, -1.0, -2 * p.bz + 1.0])
-    uz = np.diag(np.exp(-1j * delta * zdiag))
-    return uz @ ux
+    bz = np.asarray(p.bz)
+    zdiag = np.stack(np.broadcast_arrays(2 * bz + 1.0, -1.0, -1.0, -2 * bz + 1.0), axis=-1)
+    uz = np.zeros((*bz.shape, 4, 4), dtype=complex)
+    uz[..., range(4), range(4)] = np.exp(-1j * delta * zdiag)
+    # the pulse flip is 2 (delta bx): doubling and halving it are exact
+    return uz @ model._both("x", 2 * (delta * p.bx))
 
 
 def _substep_count(duration: float) -> int | float:
@@ -229,12 +230,12 @@ def _work(cfg: SweepConfig) -> int | float:
     return cfg.steps * _substeps(cfg)
 
 
-def _midpoint_steps(hamiltonians, start: int, stop: int, h: float):
-    """exp(-i h H) for substeps start..stop-1 in order, where
-    ``hamiltonians(i)`` gives the stack of H for an array of substep
-    indices; built and diagonalized SUBSTEP_CHUNK matrices at a time."""
+def _stacked(build, start: int, stop: int):
+    """The propagators ``build(i)`` of the steps i = start..stop-1, one by
+    one in order, where ``build`` maps an index array to their stack;
+    built SUBSTEP_CHUNK at a time."""
     for lo in range(start, stop, SUBSTEP_CHUNK):
-        yield from unitary_step(hamiltonians(np.arange(lo, min(lo + SUBSTEP_CHUNK, stop))), h)
+        yield from build(np.arange(lo, min(lo + SUBSTEP_CHUNK, stop)))
 
 
 def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None):
@@ -242,19 +243,18 @@ def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None
     its propagators in the order they act: the one trotter step, or the
     reference backend's midpoint substeps."""
     last = cfg.steps if last is None else last
-    if cfg.backend == "trotter":
-        for m in range(first, last + 1):
-            yield [trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(m)), cfg.delta)]
-        return
     nsub = _substeps(cfg)
     h = cfg.delta / nsub
 
-    def hamiltonians(i):
+    def propagators(i):
+        if cfg.backend == "trotter":  # step i is segment i + 1
+            return trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(i + 1)), cfg.delta)
         seg, sub = np.divmod(i, nsub)  # seg = m - 1
         t = seg * cfg.delta + (sub + 0.5) * h
-        return model.driven_hamiltonian(ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t)))
+        return unitary_step(model.driven_hamiltonian(
+            ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t))), h)
 
-    steps = _midpoint_steps(hamiltonians, (first - 1) * nsub, last * nsub, h)
+    steps = _stacked(propagators, (first - 1) * nsub, last * nsub)
     for _ in range(first, last + 1):
         yield [next(steps) for _ in range(nsub)]
 

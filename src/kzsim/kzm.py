@@ -26,7 +26,7 @@ from . import evolve, model
 from .errors import InvalidParam, UnknownFigure
 from .evolve import SweepConfig
 from .model import ModelParams
-from .smallmat import DEGENERACY_TOL, hermitian_eig
+from .smallmat import DEGENERACY_TOL, hermitian_eig, unitary_step
 
 # grid of scan rates for the smooth-model scaling fits; log-spaced and wider
 # than the experimental 1/4..1 window so the fit is not dominated by the
@@ -240,11 +240,11 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
             raise InvalidParam(f"the levels at a window end are split by {sd.gap:.3g}, within"
                                f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
 
-    def hamiltonians(i):
-        return model.effective_hamiltonian(ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h))
+    def propagators(i):
+        return unitary_step(model.effective_hamiltonian(
+            ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h)), h)
 
-    steps = evolve._midpoint_steps(hamiltonians, 0, n, h)
-    psi = evolve._advance(ends[0].eigenvectors[:, 0], steps)
+    psi = evolve._advance(ends[0].eigenvectors[:, 0], evolve._stacked(propagators, 0, n))
     p_numeric = float(abs(np.vdot(ends[1].eigenvectors[:, 1], psi)) ** 2)
     p_formula = math.exp(-2.0 * math.pi * bx * bx / k)
     return p_numeric, p_formula

@@ -110,6 +110,20 @@ def _per_matrix(field):
     return field[:, None, None] if isinstance(field, np.ndarray) else field
 
 
+def _rotation(axis: str, flip: float) -> np.ndarray:
+    """The one-spin pulse exp(-i flip/2 sigma_axis) about "x" or "y"."""
+    c, s = math.cos(flip / 2), math.sin(flip / 2)
+    if axis == "x":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _both(axis: str, flip: float) -> np.ndarray:
+    """The same pulse on both spins, a 4x4 unitary."""
+    r = _rotation(axis, flip)
+    return np.kron(r, r)
+
+
 def driven_hamiltonian(p: ModelParams) -> np.ndarray:
     """Full 4x4 Hamiltonian including the transverse field."""
     return p.bx * X1X2 + _per_matrix(p.bz) * Z1Z2_SUM + ZZ

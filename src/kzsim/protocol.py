@@ -26,13 +26,14 @@ trotter segment propagators exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NoValidBranch
-from .evolve import SweepConfig, _advance, trotter_step
-from .model import GroundState, KET_00, ModelParams, ground_state
+from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
+from .evolve import SweepConfig, _advance, _segment_unitaries
+from .model import GroundState, KET_00, ModelParams, _both, _rotation, ground_state
 
 # schedule entries: ("pulse", channel, axis, flip_rad) | ("offset", hz)
 #                   | ("delay", seconds) | ("crush",)
@@ -93,24 +94,12 @@ class PulseSchedule:
         return "\n".join(lines) + "\n"
 
 
-def _rx(flip: float) -> np.ndarray:
-    c, s = math.cos(flip / 2), math.sin(flip / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(flip: float) -> np.ndarray:
-    c, s = math.cos(flip / 2), math.sin(flip / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 _UZZ_QUARTER = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
 
 
 def prep_operator(a: PrepAngles) -> np.ndarray:
     """The 4x4 preparation unitary built from its three factors."""
-    ux = np.kron(_rx(-a.alpha), _rx(-a.alpha))
-    uy = np.kron(_ry(-a.beta), _ry(-a.beta))
-    return uy @ _UZZ_QUARTER @ ux
+    return _both("y", -a.beta) @ _UZZ_QUARTER @ _both("x", -a.alpha)
 
 
 def prep_angles(g: GroundState) -> PrepAngles:
@@ -151,17 +140,15 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
 def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     """Overlap F(t_j) as the protocol measures it.
 
-    Prepares P(0)|00>, applies j trotter segments, undoes the preparation of
-    the instantaneous ground state, crushes coherences and returns the |00>
-    population.  The crush does not touch the diagonal, so this equals
-    |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
+    Prepares P(0)|00>, applies j trotter segments on either backend, undoes
+    the preparation of the instantaneous ground state, crushes coherences and
+    returns the |00> population.  The crush does not touch the diagonal, so
+    this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
     """
     if not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j} outside 0..{cfg.steps}")
     p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
-    steps = (trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(m)), cfg.delta)
-             for m in range(1, j + 1))
-    psi = _advance(p0 @ KET_00, steps)
+    psi = reduce(_advance, _segment_unitaries(replace(cfg, backend="trotter"), 1, j), p0 @ KET_00)
     pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
     psi = pj.conj().T @ psi
     rho = gradient_crush(np.outer(psi, psi.conj()))
@@ -193,7 +180,8 @@ def _unprep_block(a: PrepAngles, j_hz: float) -> tuple[Entry, ...]:
 
 
 def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
-    """Pulse program measuring F at the end of ``cfg``'s window."""
+    """Pulse program measuring F at the end of ``cfg``'s window; refused
+    when one of its numbers is not finite."""
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
     a0 = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))
@@ -207,13 +195,17 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
             ("offset", nu),
             ("delay", d),
         ))
-    return PulseSchedule(
+    sched = PulseSchedule(
         prep=_prep_block(a0, cfg.j_hz),
         segments=tuple(segments),
         unprep=_unprep_block(aj, cfg.j_hz),
         tail=(("crush",), ("pulse", 1, "y", math.pi / 2)),
         j_hz=cfg.j_hz,
     )
+    for e in (*sched.entries(), ("total delay", sched.total_duration())):
+        if not all(math.isfinite(x) for x in e[1:] if not isinstance(x, str)):
+            raise ConfigInconsistent(f"schedule entry {e} is not finite at J = {cfg.j_hz} Hz")
+    return sched
 
 
 def simulate_entries(entries, j_hz: float) -> np.ndarray:
@@ -230,7 +222,7 @@ def simulate_entries(entries, j_hz: float) -> np.ndarray:
         if e[0] == "offset":
             nu = e[1]
         elif e[0] == "pulse":
-            rot = _rx(e[3]) if e[2] == "x" else _ry(e[3])
+            rot = _rotation(e[2], e[3])
             g = np.kron(rot, ident) if e[1] == 1 else np.kron(ident, rot)
             u = g @ u
         elif e[0] == "delay":

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +13,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from kzsim import cli, evolve
 from kzsim.errors import UsageError, ValidationError
 
-HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "1e200", "", "x", "1,2,3")
+HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "1e200", "-1e9", "", "x", "1,2,3")
 # a few valid values, so that draws also reach the trotter and T2 paths
 ORDINARY = ("0.5", "trotter", "2,0.2")
 _MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
 _GRID = ("--bx", "--k-grid", "--b0", "--bz-end", "--backend", "--t2", "--j-hz", "--out")
+# a number token that is not finite, as repr, format or json writes it
+_NONFINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 # subcommand: (argv that keeps a valid draw cheap, flags that take a value;
 # None stands for a positional argument)
 FUZZ = {
@@ -92,8 +97,15 @@ def test_exit_codes(tmp_path, monkeypatch):
                  ["scan", "--bx", "1e308"], ["scan", "--bx", "1e200"], ["schedule", "--bx", "1e308"],
                  ["lz-check", "--bx", "1e200", "--k", "1e300"],
                  ["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
-                 ["lz-check", "--bx", "1e-11"], ["lz-check", "--bx", "1e-320"]):
+                 ["lz-check", "--bx", "1e-11"], ["lz-check", "--bx", "1e-320"],
+                 ["schedule", "--bx", "1e150", "--k", "1e-159", "--j", "1"],
+                 ["schedule", "--b0", "0", "--k", "1e-310", "--delta-b", "0.01", "--j", "2"],
+                 ["schedule", "--j-hz", "1e-310"], ["schedule", "--j-hz", "2.5e-308"],
+                 ["schedule", "--j-hz", "1e308", "--b0", "1e10", "--j", "1"],
+                 ["scan", "--b0", "-1e9"], ["scan", "--k", "-1e-3"],
+                 ["scan", "--backend", "trotter", "--b0=-1e9", "--bz-end=-999999999.65"]):
         assert cli.main(argv) == 3, argv
+    assert not list(tmp_path.iterdir())
     assert cli.main(["lz-check", "--bx", "1e-10"]) == 0
 
 
@@ -102,7 +114,10 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
             (["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
              "tau_q/tau_0 = 4 bx^2/k overflows at bx=10000.0, k=1e-300"),
             (["lz-check", "--bx", "1e-11"], "within DEGENERACY_TOL of each other at bx=1e-11"),
-            (["schedule", "--delta-b", "0"], "delta_b must be positive and finite")):
+            (["schedule", "--delta-b", "0"], "delta_b must be positive and finite"),
+            (["schedule", "--j-hz", "1e-310"],
+             "schedule entry ('delay', inf) is not finite at J = 1e-310 Hz"),
+            (["scan", "--k", "-1e-3"], "--k must be positive, got -0.001")):
         assert run(argv, tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: ") and cause in err, err
@@ -122,15 +137,31 @@ def test_edge_windows_give_finite_output(tmp_path, monkeypatch):
     assert "DELAY" in (tmp_path / "c").read_text()  # the two preparation delays
 
 
+def test_negative_float_literals_are_values(tmp_path, monkeypatch):
+    assert cli.parse_args(["scan", "--b0", "-1.5"]).params["b0"] == -1.5
+    assert cli.parse_args(["scan", "--b0", "-1e9", "--bz-end", "-.5"]).params["bz_end"] == -0.5
+    # a window far from zero, whose width carries an error of ulp(1e9)
+    argv = ["scan", "--backend", "trotter", "--b0", "-1e9", "--bz-end", "-999999999.7"]
+    assert run([*argv, "--out", "far.csv"], tmp_path, monkeypatch) == 0
+    rows = (tmp_path / "far.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and not any(_NONFINITE.search(row) for row in rows)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argvs())
 @example(argv=["scan", "--delta-b", "1e-320"])
 @example(argv=["lz-check", "--bx", "1e308"])
 @example(argv=["fit", "--k-grid", "1,0.5", "--backend", "trotter", "--bx", "1e308"])
-def test_fuzzed_argv_exits_with_a_code(tmp_path, monkeypatch, argv):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) in (0, 2, 3, 4), argv
+def test_fuzzed_argv_exits_with_a_code(tmp_path, monkeypatch, capsys, argv):
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0 and "--print-config" not in argv:  # a run writes finite numbers
+        texts = [capsys.readouterr().out, *(p.read_text() for p in workdir.iterdir())]
+        assert not any(_NONFINITE.search(text) for text in texts), argv
 
 
 def test_grid_work_refused_before_any_scan(tmp_path, monkeypatch, capsys):
@@ -151,6 +182,7 @@ def test_grid_work_refused_before_any_scan(tmp_path, monkeypatch, capsys):
 
 def test_unbounded_work_refused_with_count(tmp_path, monkeypatch, capsys):
     for argv, count in ((["scan", "--k", "1e-6"], "130000013 propagator steps"),
+                        (["scan", "--b0", "-1e9"], "99999999980 propagator steps"),
                         (["scan", "--bz-end", "1e6"], "100000150 propagator steps"),
                         (["lz-check", "--k", "1e-6"], "282842713 substeps")):
         assert run(argv, tmp_path, monkeypatch) == 3

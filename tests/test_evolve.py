@@ -56,6 +56,9 @@ def test_fields_and_trotter_phases_bounded():
         SweepConfig.from_rate(0.0, 1e-300, b0=-1e9, bz_end=-1e9 + 0.5, delta_b=0.5,
                               backend="trotter")
     SweepConfig.from_rate(1.0, 1e-300, backend="trotter")  # phases up to 4e299
+    # the pulse flip 2 delta bx overflows where delta bx does not
+    with pytest.raises(ConfigInconsistent, match="trotter phase"):
+        SweepConfig(1e150, 1e-158, delta=1e158, steps=1, backend="trotter")
 
 
 def test_trotter_step_exact_when_field_off():
@@ -93,6 +96,21 @@ def test_trotter_step_unitary():
     for bx, k in EXPERIMENT_SETS:
         u = trotter_step(ModelParams(bx=bx, bz=-0.9), 0.1 / k)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
+
+
+def test_stacked_trotter_step_matches_single_calls():
+    # bx = 0, a subnormal delta bx, and a stack longer than SUBSTEP_CHUNK
+    bz = np.linspace(-3.0, 3.0, evolve.SUBSTEP_CHUNK + 45)
+    for bx, delta in ((0.0, 0.3), (1e-310, 0.5), (1e-300, 1e-15), (0.2, 0.4)):
+        stack = trotter_step(ModelParams(bx=bx, bz=bz), delta)
+        assert stack.shape == (len(bz), 4, 4)
+        a = delta * bx  # the single-call formula the stack replaced
+        rx = np.array([[math.cos(a), -1j * math.sin(a)],
+                       [-1j * math.sin(a), math.cos(a)]], dtype=complex)
+        for b, u in zip(bz.tolist(), stack):
+            single = trotter_step(ModelParams(bx=bx, bz=b), delta)
+            uz = np.diag(np.exp(-1j * delta * np.array([2 * b + 1.0, -1.0, -1.0, -2 * b + 1.0])))
+            assert u.tobytes() == single.tobytes() == (uz @ np.kron(rx, rx)).tobytes()
 
 
 def test_pre_critical_quiescence():

@@ -93,6 +93,41 @@ def test_prep_operator_unitary_for_random_angles():
         assert np.max(np.abs(p.conj().T @ p - np.eye(4))) <= 1e-10
 
 
+def test_prep_operator_keeps_the_kron_form_bits():
+    def rx(flip):
+        c, s = math.cos(flip / 2), math.sin(flip / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+    def ry(flip):
+        c, s = math.cos(flip / 2), math.sin(flip / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+
+    uzz = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        a = PrepAngles(*(float(x) for x in rng.uniform(-4, 4, 3)))
+        ux = np.kron(rx(-a.alpha), rx(-a.alpha))
+        uy = np.kron(ry(-a.beta), ry(-a.beta))
+        assert prep_operator(a).tobytes() == (uy @ uzz @ ux).tobytes()
+
+
+def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
+    # the segment stream crosses chunk boundaries; trotter steps apply on
+    # either backend
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
+    for backend in ("trotter", "reference"):
+        cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend=backend)
+        p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
+        psi = p0 @ KET_00
+        for j in range(cfg.steps + 1):
+            if j:
+                psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(j)), cfg.delta) @ psi
+            pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
+            out = pj.conj().T @ psi
+            rho = gradient_crush(np.outer(out, out.conj()))
+            assert protocol_overlap(cfg, j) == float(rho[0, 0].real), (backend, j)
+
+
 def test_protocol_overlap_at_start():
     cfg = SweepConfig.from_rate(0.1, 1.0)
     assert protocol_overlap(cfg, 0) == pytest.approx(1.0, abs=1e-10)
