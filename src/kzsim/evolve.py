@@ -325,6 +325,8 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, observe) -> ScanTrace:
     ``observe(states, vectors)`` with the triplet eigenvectors at their
     fields; it returns their populations and concurrences.
     """
+    if not math.isfinite(cfg.steps * cfg.delta):
+        raise ConfigInconsistent(f"scan time t = {cfg.steps} x delta = {cfg.delta} overflows")
     n = cfg.steps + 1
     steps = np.arange(n)
     bz = cfg.field(steps)

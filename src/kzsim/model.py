@@ -121,7 +121,7 @@ def _rotation(axis: str, flip: float) -> np.ndarray:
 def _both(axis: str, flip: float) -> np.ndarray:
     """The same pulse on both spins, a 4x4 unitary."""
     r = _rotation(axis, flip)
-    return np.kron(r, r)
+    return (r[:, None, :, None] * r[None, :, None, :]).reshape(4, 4)
 
 
 def driven_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -153,16 +153,22 @@ def triplet_spectrum(p: ModelParams) -> SpectralData:
 def ground_state(p: ModelParams) -> GroundState:
     """Lowest triplet eigenstate with the fixed real phase convention."""
     sd = triplet_spectrum(p)
-    if sd.gap < 1e-12:
+    return _ground(p.bx, p.bz, sd.eigenvalues, sd.eigenvectors)
+
+
+def _ground(bx: float, bz: float, w: np.ndarray, v: np.ndarray) -> GroundState:
+    """Ground state at one field from its triplet eigenpairs w, v, unless degenerate."""
+    gap = w[1] - w[0]
+    if gap < 1e-12:
         raise DegenerateGround(
-            f"ground state degenerate at bx={p.bx}, bz={p.bz} (gap {sd.gap:.2e})"
+            f"ground state degenerate at bx={bx}, bz={bz} (gap {gap:.2e})"
         )
-    vec = sd.eigenvectors[:, 0]
+    vec = v[:, 0]
     # a unit vector with |c0| <= 1e-12 has a nonzero cplus or c1
     ref = vec[0] if abs(vec[0]) > _PHASE_TOL else next(x for x in vec[1:] if x != 0)
     vec = vec * (ref.conjugate() / abs(ref))
     c0, cplus, c1 = (float(x.real) for x in vec)
-    return GroundState(c0=c0, cplus=cplus, c1=c1, energy=float(sd.eigenvalues[0]))
+    return GroundState(c0=c0, cplus=cplus, c1=c1, energy=float(w[0]))
 
 
 def ground_vector(p: ModelParams) -> np.ndarray:

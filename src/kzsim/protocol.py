@@ -31,6 +31,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import evolve, model
 from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
 from .evolve import SweepConfig, _advance, _segment_unitaries
 from .model import GroundState, KET_00, ModelParams, _both, _rotation, ground_state
@@ -40,6 +41,8 @@ from .model import GroundState, KET_00, ModelParams, _both, _rotation, ground_st
 Entry = tuple
 
 _BRANCH_TOL = 1e-6
+# protocol_overlap's last call, replaced whole: (twin, j, state, lo, spectra from lo)
+_last = (None,) * 5
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,27 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     the preparation of the instantaneous ground state, crushes coherences and
     returns the |00> population.  The crush does not touch the diagonal, so
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
+
+    The last call is remembered: its config's trotter twin without t2 (all
+    the overlap reads), the state after segment j and up to SUBSTEP_CHUNK
+    triplet spectra from j on, one stack.  A call with an equal twin (==)
+    and j >= the remembered i resumes (j - i trotter steps); others start
+    from P(0)|00>.  Results do not depend on call order.
     """
+    global _last
     if not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j} outside 0..{cfg.steps}")
-    p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
-    psi = reduce(_advance, _segment_unitaries(replace(cfg, backend="trotter"), 1, j), p0 @ KET_00)
-    pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
-    psi = pj.conj().T @ psi
+    run, last = replace(cfg, backend="trotter", t2=None), _last  # one read of the tuple
+    i, psi, lo, sd = last[1:] if last[0] == run else (0, None, 0, None)
+    if psi is None or i > j:
+        i, psi = 0, prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))) @ KET_00
+    psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
+    if sd is None or not lo <= j < lo + len(sd.gap):
+        lo, bz = j, cfg.field(np.arange(j, min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)))
+        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz))
+    _last = (run, j, psi, lo, sd)
+    g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
+    psi = prep_operator(prep_angles(g)).conj().T @ psi
     rho = gradient_crush(np.outer(psi, psi.conj()))
     return float(rho[0, 0].real)
 

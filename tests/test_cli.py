@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from kzsim import cli, evolve
 from kzsim.errors import UsageError, ValidationError
 
-HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "1e308", "1e200", "-1e9", "", "x", "1,2,3")
+HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "5e-309", "1e308", "1e200", "-1e9", "", "x",
+           "1,2,3")
 # a few valid values, so that draws also reach the trotter and T2 paths
 ORDINARY = ("0.5", "trotter", "2,0.2")
 _MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
@@ -121,6 +123,19 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
         assert run(argv, tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: ") and cause in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_overflowing_scan_time_refused(tmp_path, monkeypatch, capsys):
+    # 13 segments of delta = 0.1/5e-309 ~ 2e307 end past the largest float
+    for argv in (["scan", "--backend", "trotter", "--k", "5e-309"],
+                 ["sweep", "--backend", "trotter", "--k-grid", "5e-309", "--bx", "0.1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv, tmp_path, monkeypatch) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: scan time t = 13 x delta = 2.0"), err
+        assert err.rstrip().endswith("overflows"), err
     assert not list(tmp_path.iterdir())
 
 

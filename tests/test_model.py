@@ -222,3 +222,16 @@ def test_field_array_validated_elementwise():
         ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
     with pytest.raises(InvalidParam):
         ModelParams(bx=0.1, bz=np.zeros((2, 2)))
+
+
+def test_pulse_on_both_spins_keeps_the_kron_bits():
+    # the broadcast product in _both against np.kron of the one-spin pulse,
+    # over ordinary flips, 0, +-pi and flips near the field bound
+    rng = np.random.default_rng(31)
+    flips = [0.0, -0.0, math.pi, -math.pi, 2e150, -2e150, math.nextafter(2e150, 0.0)]
+    flips += rng.uniform(-10.0, 10.0, 1000).tolist() + (rng.uniform(-1, 1, 993) * 2e150).tolist()
+    assert len(flips) == 2000
+    for axis in ("x", "y"):
+        for flip in flips:
+            r = model._rotation(axis, flip)
+            assert model._both(axis, flip).tobytes() == np.kron(r, r).tobytes(), (axis, flip)

@@ -1,10 +1,14 @@
 import math
+import random
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kzsim import evolve, model, protocol
-from kzsim.errors import IndexOutOfRange, NoValidBranch
+from kzsim.errors import DegenerateGround, IndexOutOfRange, NoValidBranch
 from kzsim.evolve import SweepConfig, propagate, trotter_step
 from kzsim.model import GroundState, KET_00, ModelParams, ground_state, ground_vector
 from kzsim.protocol import (PrepAngles, gradient_crush, nmr_schedule,
@@ -126,6 +130,150 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
             out = pj.conj().T @ psi
             rho = gradient_crush(np.outer(out, out.conj()))
             assert protocol_overlap(cfg, j) == float(rho[0, 0].real), (backend, j)
+
+
+def loop_overlaps(cfg):
+    """F(t_j) for j = 0..steps from one fresh per-segment loop, the form
+    protocol_overlap replaced; trotter steps on either backend."""
+    p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
+    psi, out = p0 @ KET_00, []
+    for j in range(cfg.steps + 1):
+        if j:
+            psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(j)), cfg.delta) @ psi
+        pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
+        amp = pj.conj().T @ psi
+        out.append(float(gradient_crush(np.outer(amp, amp.conj()))[0, 0].real))
+    return out
+
+
+def forget(monkeypatch):
+    """Make the next protocol_overlap call a cold one."""
+    monkeypatch.setattr(protocol, "_last", (None,) * len(protocol._last))
+
+
+def test_protocol_overlap_is_independent_of_call_order(monkeypatch):
+    # a chunk of 4 makes the remembered spectra run out every few boundaries
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
+    a = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
+    b = SweepConfig.from_rate(0.1, 1.0, bz_end=0.0, backend="trotter")
+    expected = {a: loop_overlaps(a), b: loop_overlaps(b)}
+    shuffled = [(cfg, j) for cfg in (a, b) for j in range(cfg.steps + 1)] * 2
+    random.Random(37).shuffle(shuffled)
+    descending = [(a, j) for j in reversed(range(a.steps + 1))]
+    alternating = [(cfg, j) for j in range(a.steps + 1) for cfg in (a, b)]
+    for cfg, j in shuffled + descending + alternating:
+        assert protocol_overlap(cfg, j) == expected[cfg][j], (cfg, j)
+
+
+def counted_trotter_steps(monkeypatch):
+    """The field counts of the trotter_step calls made from now on."""
+    steps = []
+
+    def counted(p, delta):
+        steps.append(np.size(p.bz))
+        return trotter_step(p, delta)
+
+    monkeypatch.setattr(evolve, "trotter_step", counted)
+    return steps
+
+
+def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
+    # both run trotter steps, so the twin resumes where the reference call
+    # stopped, and the reference config where the twin stopped
+    ref = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
+    twin = replace(ref, backend="trotter")
+    expected = loop_overlaps(twin)
+    steps = counted_trotter_steps(monkeypatch)
+    for cfg, j in ((ref, 2), (ref, 6), (twin, 7), (twin, 11), (ref, 12), (ref, 15), (twin, 3)):
+        steps.clear()
+        assert protocol_overlap(cfg, j) == expected[j], (cfg.backend, j)
+    assert steps == [3]  # the last call restarted; the others resumed
+
+
+def test_protocol_overlap_keys_by_equality(monkeypatch):
+    # t2 as a list makes a config unhashable, and as an array makes == an
+    # array; neither changes the overlap, and an equal copy resumes
+    base = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
+    expected = loop_overlaps(base)
+    steps = counted_trotter_steps(monkeypatch)
+    for make in (list, np.array):
+        cfg, copy = replace(base, t2=make([2.0, 0.2])), replace(base, t2=make([2.0, 0.2]))
+        with pytest.raises(TypeError):
+            hash(cfg)
+        assert protocol_overlap(cfg, 5) == expected[5]
+        steps.clear()
+        assert protocol_overlap(copy, 6) == expected[6]
+        assert steps == [1]
+        for j in (9, 2, 15):
+            assert protocol_overlap(cfg if j % 2 else copy, j) == expected[j]
+
+
+def test_protocol_overlap_threads_give_the_serial_values(monkeypatch):
+    # four threads, two per config, more than the cores of a small machine
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
+    cfgs = (SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter"),
+            SweepConfig.from_rate(0.1, 0.5, bz_end=0.0, backend="trotter"))
+    expected = [loop_overlaps(cfg) for cfg in cfgs]
+    results = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def measure(n):
+        cfg = cfgs[n % 2]
+        start.wait(timeout=60)
+        for _ in range(40):
+            results[n].extend(protocol_overlap(cfg, j) for j in range(cfg.steps + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=measure, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in range(4):
+        assert results[n] == expected[n % 2] * 40, n
+
+
+def test_protocol_overlap_checks_only_the_boundary_it_reads(monkeypatch):
+    # at bx = 0 the ground state is degenerate at bz = -1, boundary 5; the
+    # spectra read ahead from boundary 3 include it
+    cfg = SweepConfig.from_rate(0.0, 1.0, bz_end=0.0, backend="trotter")
+    for order in ((3, 5), (5, 3)):
+        forget(monkeypatch)
+        for j in order:
+            if j == 5:
+                with pytest.raises(DegenerateGround, match="bz=-1.0"):
+                    protocol_overlap(cfg, j)
+            else:
+                assert protocol_overlap(cfg, j) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_protocol_overlap_work_per_call_is_bounded(monkeypatch):
+    cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=-0.5, delta_b=1e-5, backend="trotter")
+    assert cfg.steps == 100_000
+    eig_sizes = []
+    real_eig = model.hermitian_eig
+
+    def counted_eig(m):
+        eig_sizes.append(len(np.reshape(m, (-1, 3, 3))))
+        return real_eig(m)
+
+    monkeypatch.setattr(model, "hermitian_eig", counted_eig)
+    steps = counted_trotter_steps(monkeypatch)
+    forget(monkeypatch)
+    chunk = evolve.SUBSTEP_CHUNK
+    protocol_overlap(cfg, 0)  # cold: the start's ground state and one look-ahead
+    assert len(eig_sizes) <= 2 and max(eig_sizes) <= chunk and len(steps) <= 1
+    # resumed calls: one step and no spectrum; then a jump of a whole chunk
+    # past the look-ahead of boundaries 0..chunk-1
+    for j, eigs, stacks in ((1, [], [1]), (chunk + 1, [chunk], [chunk]), (chunk + 2, [], [1])):
+        eig_sizes.clear(), steps.clear()
+        protocol_overlap(cfg, j)
+        assert (eig_sizes, steps) == (eigs, stacks), j
 
 
 def test_protocol_overlap_at_start():
