@@ -49,7 +49,7 @@ class IndexOutOfRange(KzsimError, IndexError):
 
 
 class NoValidBranch(KzsimError):
-    """Neither arcsin branch of the preparation angles reproduces the ground state."""
+    """The preparation angles do not reproduce the ground state (fidelity below 1 - 1e-6)."""
 
 
 class InvalidParam(_InvalidConfiguration):

@@ -92,6 +92,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
         _require(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
+        if self.bx < 0:
+            raise ConfigInconsistent(f"transverse field must be >= 0, got {self.bx}")
         if self.steps < 0:
             raise ConfigInconsistent(f"segment count must be >= 0, got {self.steps}")
         if self.backend not in BACKENDS:

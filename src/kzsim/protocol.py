@@ -9,11 +9,11 @@ The preparation operator
 
     P = exp(i beta (sy1+sy2)/2) exp(-i pi/4 sz1 sz2) exp(i alpha (sx1+sx2)/2)
 
-maps |00> onto any real triplet state; alpha follows from cos(alpha) = c0+c1
-and beta from sin(beta+gamma) = -sqrt(2) c+ / sqrt(2-(c0+c1)^2) with
-tan(gamma) = sqrt(1-(c0+c1)^2).  The arcsin leaves a two-fold branch choice,
-which is resolved by explicitly checking which branch reproduces the ground
-state.
+maps |00> onto any real triplet state.  The y pulse pair leaves c0 + c1
+invariant, so cos(alpha) = c0 + c1.  The first two factors leave the vector
+(c0 - c1, sqrt(2) c+) at the angle -gamma, tan(gamma) = sqrt(1-(c0+c1)^2),
+and the y pair turns it by -beta, so beta = -gamma - atan2(sqrt(2) c+,
+c0 - c1) in closed form.
 
 ``nmr_schedule`` emits the corresponding pulse sequence: per segment one
 transverse pulse pair with flip angle theta = 2 delta bx followed by a free
@@ -40,7 +40,7 @@ from .model import GroundState, KET_00, ModelParams, _both, _rotation, ground_st
 #                   | ("delay", seconds) | ("crush",)
 Entry = tuple
 
-_BRANCH_TOL = 1e-6
+_FIDELITY_TOL = 1e-6
 # protocol_overlap's last call, replaced whole: (twin, j, state, lo, spectra from lo)
 _last = (None,) * 5
 
@@ -108,31 +108,19 @@ def prep_operator(a: PrepAngles) -> np.ndarray:
 def prep_angles(g: GroundState) -> PrepAngles:
     """Angles such that prep_operator(...) maps |00> onto ``g``.
 
-    Both arcsin branches for beta are tried; the one reproducing the ground
-    state (fidelity within 1e-6 of unity, in practice machine-exact) wins.
+    beta is wrapped to [-pi, pi).  The prepared state is checked: a fidelity
+    below 1 - 1e-6, which only inputs off the unit sphere or with
+    |c0 + c1| > 1 reach, raises NoValidBranch.
     """
-    s = g.c0 + g.c1
-    s = min(1.0, max(-1.0, s))
+    s = min(1.0, max(-1.0, g.c0 + g.c1))
     alpha = math.acos(s)
     gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
-    denom = math.sqrt(2.0 - s * s)
-    sval = min(1.0, max(-1.0, -math.sqrt(2) * g.cplus / denom))
-    base = math.asin(sval)
-    target = g.vector()
-    best: tuple[float, PrepAngles] | None = None
-    for branch in (base, math.pi - base):
-        beta = branch - gamma
-        beta = (beta + math.pi) % (2 * math.pi) - math.pi
-        cand = PrepAngles(alpha=alpha, beta=beta, gamma=gamma)
-        fid = abs(np.vdot(target, prep_operator(cand) @ KET_00)) ** 2
-        if best is None or fid > best[0]:
-            best = (fid, cand)
-    fid, cand = best
-    if fid < 1.0 - _BRANCH_TOL:
-        raise NoValidBranch(
-            f"no arcsin branch reproduces the ground state (best fidelity {fid})"
-        )
-    return cand
+    beta = -gamma - math.atan2(math.sqrt(2) * g.cplus, g.c0 - g.c1)
+    a = PrepAngles(alpha=alpha, beta=(beta + math.pi) % (2 * math.pi) - math.pi, gamma=gamma)
+    fid = abs(np.vdot(g.vector(), prep_operator(a) @ KET_00)) ** 2
+    if fid < 1.0 - _FIDELITY_TOL:
+        raise NoValidBranch(f"the preparation does not reproduce the ground state (fidelity {fid})")
+    return a
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:

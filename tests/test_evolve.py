@@ -39,6 +39,11 @@ def test_config_validation():
         SweepConfig.from_rate(0.1, -1.0)
     with pytest.raises(ConfigInconsistent):
         SweepConfig.from_rate(0.1, 1.0, backend="magic")
+    # a negative transverse field is refused when the config is built
+    with pytest.raises(ConfigInconsistent, match="transverse field must be >= 0, got -0.1"):
+        SweepConfig.from_rate(-0.1, 1.0, backend="trotter")
+    with pytest.raises(ConfigInconsistent, match="transverse field must be >= 0, got -0.1"):
+        SweepConfig(-0.1, 1.0, delta=0.1, steps=13)
 
 
 def test_fields_and_trotter_phases_bounded():

@@ -75,11 +75,26 @@ def test_prep_angles_cover_the_scan_grid():
             assert fidelity_to_ground(prep_angles(g), g) >= 1 - 1e-9
 
 
+def test_prep_angles_reach_the_ground_state_amplitude():
+    # fidelity is quadratic in an angle error; the component of P|00>
+    # orthogonal to the ground state is linear in it, also where c0 ~ c1
+    bzs = [*np.linspace(-3.0, 3.0, 601), 0.0, 1e-12, -1e-12, -5.329070518200751e-15]
+    for bx in (0.0, 1e-13, 0.05, 0.1, 0.2, 0.5, 1.0, 3.0):
+        for bz in bzs:
+            try:
+                g = ground_state(ModelParams(bx=bx, bz=float(bz)))
+            except DegenerateGround:
+                continue
+            v, psi = g.vector(), prep_operator(prep_angles(g)) @ KET_00
+            assert np.linalg.norm(psi - np.vdot(v, psi) * v) <= 1e-12, (bx, bz)
+
+
 def test_prep_angles_rejects_unreachable_input():
-    # sub-normalized input can never reach unit fidelity with P|00>
-    bad = GroundState(c0=0.5, cplus=0.5, c1=0.0, energy=0.0)
-    with pytest.raises(NoValidBranch):
-        prep_angles(bad)
+    # sub-normalized input can never reach unit fidelity with P|00>, nor can
+    # a unit vector with c0 + c1 > 1, since P keeps c0 + c1 = cos(alpha)
+    for c0, cplus, c1 in ((0.5, 0.5, 0.0), (0.8, 0.0, 0.6)):
+        with pytest.raises(NoValidBranch):
+            prep_angles(GroundState(c0=c0, cplus=cplus, c1=c1, energy=0.0))
 
 
 def test_prep_operator_zero_angles():
@@ -369,6 +384,14 @@ def test_schedule_golden_text():
     assert s.to_text() == GOLDEN_SCHEDULE_J2
     assert nmr_schedule(cfg).to_text() == GOLDEN_SCHEDULE_J2  # bit-stable
     assert s.total_duration() == pytest.approx(0.0191968556, abs=1e-9)
+
+
+def test_schedule_unprep_angle_near_equal_c0_c1():
+    # at the end of this window c0 ~ c1, where an arcsin of sin(beta + gamma)
+    # ~ 1 loses about 2e-8 rad of beta
+    s = nmr_schedule(SweepConfig(0.5, 1.0, delta=0.1, steps=15, backend="trotter"))
+    assert s.unprep[0][:3] == ("pulse", 1, "y")
+    assert s.unprep[0][3] == pytest.approx(0.8716111622538723, abs=1e-13)
 
 
 def test_schedule_crush_not_simulable():
