@@ -12,8 +12,8 @@ from .errors import (ConfigInconsistent, DegenerateGround, DimensionMismatch,
                      NoValidBranch, UnknownFigure, WorkLimitExceeded)
 from .evolve import (ScanTrace, SweepConfig, concurrence, concurrence_mixed,
                      dephase_propagate, propagate, ramp, scan, trotter_step)
-from .kzm import (KzmParams, ScalingFit, freeze_out, freeze_out_bisection,
-                  lz_check, predicted_defects, quench_time, reproduce_figure,
+from .kzm import (KzmParams, ScalingFit, freeze_out, lz_check,
+                  predicted_defects, quench_time, reproduce_figure,
                   run_scaling_sweep, tau0)
 from .model import (GroundState, ModelParams, driven_hamiltonian,
                     effective_hamiltonian, ground_state, ground_vector,

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -259,11 +258,6 @@ def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None
     steps = _stacked(propagators, (first - 1) * nsub, last * nsub)
     for _ in range(first, last + 1):
         yield [next(steps) for _ in range(nsub)]
-
-
-def segment_unitary(cfg: SweepConfig, m: int) -> np.ndarray:
-    """Full propagator of segment m (1-based) for the configured backend."""
-    return reduce(lambda u, sub: sub @ u, next(_segment_unitaries(cfg, m, m)))
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

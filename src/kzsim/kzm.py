@@ -52,14 +52,16 @@ class KzmParams:
             v = getattr(self, name)
             if v <= 0 or not math.isfinite(v):
                 raise InvalidParam(f"{name} must be positive, got {v}")
+        # the closed forms take 4/x^2: x, x^2 and 4/x^2 must be finite and
+        # nonzero (x^2 > 0 makes x > 0, and 4/x^2 > 0 when x^2 is finite)
+        x2 = self.x_alpha * self.x_alpha
+        if not (0 < x2 < math.inf and 4.0 / x2 < math.inf):
+            raise InvalidParam(f"x_alpha = alpha tau_q / tau_0 = {self.x_alpha} is out of range:"
+                               f" x_alpha^2 and 4/x_alpha^2 must be finite and nonzero")
 
     @property
     def x_alpha(self) -> float:
         return self.alpha * self.tau_q / self.tau_0
-
-    @classmethod
-    def from_sweep(cls, bx: float, k: float, alpha: float) -> "KzmParams":
-        return cls(tau_q=quench_time(bx, k), tau_0=tau0(bx), alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -103,45 +105,17 @@ def tau0(bx: float) -> float:
     return 1.0 / gap
 
 
-def freeze_out(p: KzmParams, verify: bool = True) -> tuple[float, float]:
-    """Freeze-out time and rescaled distance (t_hat, eps_hat).
-
-    Uses the closed form; with ``verify`` the value is cross-checked against
-    an independent bisection root-find of tau(t) = alpha t (agreement to
-    1e-10 relative).
-    """
+def _eps_sq(p: KzmParams) -> float:
+    """eps_hat^2 = (sqrt(1 + 4/x^2) - 1) / 2 at x = x_alpha."""
     u = 4.0 / (p.x_alpha * p.x_alpha)
     # sqrt(1+u) - 1 rewritten to stay accurate for small u
-    eps_sq = 0.5 * u / (math.sqrt(1.0 + u) + 1.0)
-    eps_hat = math.sqrt(eps_sq)
-    t_hat = eps_hat * p.tau_q
-    if verify:
-        t_b, _ = freeze_out_bisection(p)
-        if abs(t_b - t_hat) > 1e-10 * t_hat:
-            raise ArithmeticError(
-                f"closed form {t_hat} and bisection {t_b} disagree"
-            )
-    return t_hat, eps_hat
+    return 0.5 * u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def freeze_out_bisection(p: KzmParams) -> tuple[float, float]:
-    """Root of tau_0/sqrt(1+(t/tau_q)^2) = alpha*t by plain bisection."""
-
-    def f(t: float) -> float:
-        return p.tau_0 / math.sqrt(1.0 + (t / p.tau_q) ** 2) - p.alpha * t
-
-    lo = 0.0
-    hi = 10.0 * p.tau_0 / p.alpha
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t_hat = 0.5 * (lo + hi)
-    return t_hat, t_hat / p.tau_q
+def freeze_out(p: KzmParams) -> tuple[float, float]:
+    """Freeze-out time and rescaled distance (t_hat, eps_hat), in closed form."""
+    eps_hat = math.sqrt(_eps_sq(p))
+    return eps_hat * p.tau_q, eps_hat
 
 
 def predicted_defects(p: KzmParams) -> float:
@@ -150,8 +124,7 @@ def predicted_defects(p: KzmParams) -> float:
     Agrees with exp(-x_alpha) to second order for slow quenches and tends to
     one for fast ones.
     """
-    u = 4.0 / (p.x_alpha * p.x_alpha)
-    eps_sq = 0.5 * u / (math.sqrt(1.0 + u) + 1.0)
+    eps_sq = _eps_sq(p)
     return eps_sq / (1.0 + eps_sq)
 
 
@@ -260,15 +233,15 @@ class FigureData:
     rows: tuple[tuple, ...]
 
 
-def _fig_levels(bx: float = 0.1):
+def _fig_levels():
     bz = np.arange(-200, 201) / 100.0
-    levels = model.triplet_spectrum(ModelParams(bx=bx, bz=bz)).eigenvalues
+    levels = model.triplet_spectrum(ModelParams(bx=0.1, bz=bz)).eigenvalues
     return [(b, *e) for b, e in zip(bz.tolist(), levels.tolist())]
 
 
-def _fig_tau(bx: float = 0.1):
+def _fig_tau():
     bz = np.arange(-200, 201) / 100.0
-    return list(zip(bz.tolist(), model.relaxation_time(ModelParams(bx=bx, bz=bz)).tolist()))
+    return list(zip(bz.tolist(), model.relaxation_time(ModelParams(bx=0.1, bz=bz)).tolist()))
 
 
 def _fig_populations():

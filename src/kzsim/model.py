@@ -37,10 +37,6 @@ KET_11 = np.array([0, 0, 0, 1], dtype=complex)
 PHI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PHI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 X1X2 = np.kron(SIGMA_X, IDENT2) + np.kron(IDENT2, SIGMA_X)
 Z1Z2_SUM = np.kron(SIGMA_Z, IDENT2) + np.kron(IDENT2, SIGMA_Z)
 ZZ = np.kron(SIGMA_Z, SIGMA_Z)

@@ -20,8 +20,9 @@ transverse pulse pair with flip angle theta = 2 delta bx followed by a free
 evolution delay d = 2 delta / (pi J) at offset nu_m = bz_m J / 2.  Offsets
 are stored with the sign convention bz = 2 nu / J, i.e. the delay Hamiltonian
 is pi nu (sz1+sz2) + (pi J / 2) sz1 sz2 in rad/s.  Pulses are ideal
-zero-duration rotations, so simulating the emitted schedule reproduces the
-trotter segment propagators exactly.
+zero-duration rotations, so simulating the emitted schedule (the schedule
+simulator of tests/oracles.py) reproduces the trotter segment propagators
+exactly.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import evolve, model
 from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
 from .evolve import SweepConfig, _advance, _segment_unitaries
-from .model import GroundState, KET_00, ModelParams, _both, _rotation, ground_state
+from .model import GroundState, KET_00, ModelParams, _both, ground_state
 
 # schedule entries: ("pulse", channel, axis, flip_rad) | ("offset", hz)
 #                   | ("delay", seconds) | ("crush",)
@@ -211,32 +212,3 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
         if not all(math.isfinite(x) for x in e[1:] if not isinstance(x, str)):
             raise ConfigInconsistent(f"schedule entry {e} is not finite at J = {cfg.j_hz} Hz")
     return sched
-
-
-def simulate_entries(entries, j_hz: float) -> np.ndarray:
-    """Unitary realized by a run of pulse/offset/delay entries.
-
-    Delays evolve under pi*nu*(sz1+sz2) + (pi*J/2)*sz1*sz2 at the current
-    offset nu; pulses are instantaneous rotations.  Crush markers are not
-    allowed here (they are not unitary).
-    """
-    u = np.eye(4, dtype=complex)
-    nu = 0.0
-    ident = np.eye(2, dtype=complex)
-    for e in entries:
-        if e[0] == "offset":
-            nu = e[1]
-        elif e[0] == "pulse":
-            rot = _rotation(e[2], e[3])
-            g = np.kron(rot, ident) if e[1] == 1 else np.kron(ident, rot)
-            u = g @ u
-        elif e[0] == "delay":
-            zsum = np.array([2.0, 0.0, 0.0, -2.0])
-            zz = np.array([1.0, -1.0, -1.0, 1.0])
-            phases = math.pi * nu * zsum + (math.pi * j_hz / 2.0) * zz
-            u = np.diag(np.exp(-1j * e[1] * phases)) @ u
-        elif e[0] == "crush":
-            raise ValueError("crush is not unitary; simulate blocks around it")
-        else:
-            raise ValueError(f"unknown schedule entry {e!r}")
-    return u

@@ -6,7 +6,9 @@ characteristic cubic, eigenvectors from row cross products, Hermitian
 eigensystems of dimension 2..4 from a cyclic complex Jacobi iteration that
 does not use LAPACK, and matrix exponentials from a plain Taylor series.
 The effective two-level relaxation time is the closed form of the
-Landau-Zener reduction.
+Landau-Zener reduction.  The freeze-out instant is found by plain bisection
+of tau(t) = alpha t, and a pulse schedule is simulated entry by entry from
+explicit 2x2 rotations and Kronecker products.
 """
 import math
 
@@ -134,3 +136,64 @@ def effective_relaxation_time(bx: float, bz: float) -> float:
     eps = abs(bz + 1.0) / (math.sqrt(2) * bx)
     tau0 = 1.0 / (2.0 * math.sqrt(2) * bx)
     return tau0 / math.sqrt(1.0 + eps * eps)
+
+
+def freeze_out_bisection(p) -> tuple[float, float]:
+    """Root (t_hat, eps_hat) of tau_0/sqrt(1+(t/tau_q)^2) = alpha*t for a
+    KzmParams ``p``, by plain bisection."""
+
+    def f(t: float) -> float:
+        return p.tau_0 / math.sqrt(1.0 + (t / p.tau_q) ** 2) - p.alpha * t
+
+    lo = 0.0
+    hi = 10.0 * p.tau_0 / p.alpha
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_hat = 0.5 * (lo + hi)
+    return t_hat, t_hat / p.tau_q
+
+
+def rx(flip: float) -> np.ndarray:
+    """One-spin pulse exp(-i flip/2 sigma_x)."""
+    c, s = math.cos(flip / 2), math.sin(flip / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def ry(flip: float) -> np.ndarray:
+    """One-spin pulse exp(-i flip/2 sigma_y)."""
+    c, s = math.cos(flip / 2), math.sin(flip / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def simulate_entries(entries, j_hz: float) -> np.ndarray:
+    """Unitary realized by a run of pulse/offset/delay schedule entries.
+
+    Delays evolve under pi*nu*(sz1+sz2) + (pi*J/2)*sz1*sz2 at the current
+    offset nu; pulses are instantaneous rotations of spin 1 or 2.  Crush
+    markers raise ValueError (they are not unitary).
+    """
+    u = np.eye(4, dtype=complex)
+    nu = 0.0
+    ident = np.eye(2, dtype=complex)
+    zsum = np.array([2.0, 0.0, 0.0, -2.0])
+    zz = np.array([1.0, -1.0, -1.0, 1.0])
+    for e in entries:
+        if e[0] == "offset":
+            nu = e[1]
+        elif e[0] == "pulse":
+            rot = {"x": rx, "y": ry}[e[2]](e[3])
+            u = (np.kron(rot, ident) if e[1] == 1 else np.kron(ident, rot)) @ u
+        elif e[0] == "delay":
+            phases = math.pi * nu * zsum + (math.pi * j_hz / 2.0) * zz
+            u = np.diag(np.exp(-1j * e[1] * phases)) @ u
+        elif e[0] == "crush":
+            raise ValueError("crush is not unitary; simulate blocks around it")
+        else:
+            raise ValueError(f"unknown schedule entry {e!r}")
+    return u

@@ -9,11 +9,12 @@ import numpy as np
 
 from kzsim import evolve, kzm, model, protocol
 from kzsim.evolve import SweepConfig, propagate, trotter_step
-from kzsim.kzm import KzmParams, freeze_out, freeze_out_bisection, predicted_defects
+from kzsim.kzm import KzmParams, freeze_out, predicted_defects
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
-from oracles import random_hermitian
+from helpers import segment_unitary
+from oracles import freeze_out_bisection, random_hermitian
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
 
@@ -91,7 +92,7 @@ def test_criterion_06_freeze_out_equivalence():
     worst = 0.0
     for x in np.logspace(-3, 3, 1000):
         p = KzmParams(tau_q=float(x) / 1.5, tau_0=1.0, alpha=1.5)
-        t_c, eps_c = freeze_out(p, verify=False)
+        t_c, eps_c = freeze_out(p)
         t_b, eps_b = freeze_out_bisection(p)
         worst = max(worst, abs(eps_b - eps_c) / eps_c, abs(t_b - t_c) / t_c)
     ok = worst <= 1e-10
@@ -214,7 +215,7 @@ def test_criterion_12_property_suite():
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend)
         psi = ground_vector(ModelParams(bx=bx, bz=-1.5))
         for m in range(1, cfg.steps + 1):
-            psi = evolve.segment_unitary(cfg, m) @ psi
+            psi = segment_unitary(cfg, m) @ psi
             worst_norm = max(worst_norm, abs(abs(np.vdot(psi, psi)) - 1.0))
             worst_singlet = max(worst_singlet, abs(np.vdot(PHI_MINUS, psi)) ** 2)
     # trace conservation under dephasing
@@ -224,7 +225,7 @@ def test_criterion_12_property_suite():
     mask = evolve.phase_damping_factors(cfg)
     worst_trace = 0.0
     for m in range(1, cfg.steps + 1):
-        u = evolve.segment_unitary(cfg, m)
+        u = segment_unitary(cfg, m)
         rho = (u @ rho @ u.conj().T) * mask
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
     # grid refinement of the reference backend

@@ -9,10 +9,11 @@ from kzsim import evolve, model
 from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
                           concurrence_mixed, dephase_propagate, propagate,
-                          ramp, scan, segment_unitary, trotter_step)
+                          ramp, scan, trotter_step)
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
+from helpers import segment_unitary
 from oracles import series_expm_minus_i
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]

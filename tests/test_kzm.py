@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kzsim import evolve, kzm
 from kzsim.errors import InvalidParam, UnknownFigure
 from kzsim.kzm import (KzmParams, ScalingFit, fit_scaling, freeze_out,
-                       freeze_out_bisection, lz_check, predicted_defects,
-                       quench_time, reproduce_figure, run_scaling_sweep, tau0)
+                       lz_check, predicted_defects, quench_time,
+                       reproduce_figure, run_scaling_sweep, tau0)
+
+from oracles import freeze_out_bisection
 
 
 def params_for(x_alpha, alpha=1.5):
@@ -28,7 +31,7 @@ def test_quench_time_and_tau0():
 
 def test_kzm_params_ratio_invariant():
     for bx, k in ((0.1, 1.0), (0.2, 0.25), (0.05, 0.7)):
-        p = KzmParams.from_sweep(bx, k, alpha=1.5)
+        p = KzmParams(tau_q=quench_time(bx, k), tau_0=tau0(bx), alpha=1.5)
         assert p.tau_q / p.tau_0 == pytest.approx(4 * bx * bx / k, abs=1e-12)
 
 
@@ -47,13 +50,28 @@ def test_freeze_out_asymptotics():
     assert eps == pytest.approx(1 / math.sqrt(1e-3), rel=1e-3)
 
 
-def test_freeze_out_matches_bisection():
-    for x in np.logspace(-3, 3, 200):
-        p = params_for(float(x))
-        t_c, eps_c = freeze_out(p, verify=False)
-        t_b, eps_b = freeze_out_bisection(p)
-        assert abs(t_b - t_c) <= 1e-10 * t_c
-        assert abs(eps_b - eps_c) <= 1e-10 * eps_c
+@settings(max_examples=200, deadline=None)
+@given(*[st.floats(-6.0, 6.0)] * 3)
+def test_freeze_out_matches_bisection(log_tau_q, log_tau_0, log_alpha):
+    # log-uniform times and constant in [1e-6, 1e6], with x_alpha in [1e-12, 1e12]
+    p = KzmParams(tau_q=10**log_tau_q, tau_0=10**log_tau_0, alpha=10**log_alpha)
+    assume(1e-12 <= p.x_alpha <= 1e12)
+    t_c, eps_c = freeze_out(p)
+    t_b, eps_b = freeze_out_bisection(p)
+    assert abs(t_b - t_c) <= 1e-10 * t_c
+    assert abs(eps_b - eps_c) <= 1e-10 * eps_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3)
+def test_freeze_out_on_extreme_floats(tau_q, tau_0, alpha):
+    try:
+        p = KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)
+    except InvalidParam:
+        return
+    _, eps_hat = freeze_out(p)
+    assert 0 < eps_hat < math.inf
+    assert 0 <= predicted_defects(p) <= 1
 
 
 def test_freeze_out_time_scaling():
@@ -204,3 +222,8 @@ def test_invalid_kzm_params():
         KzmParams(tau_q=-1.0, tau_0=1.0, alpha=1.0)
     with pytest.raises(InvalidParam):
         KzmParams(tau_q=1.0, tau_0=1.0, alpha=0.0)
+    # x_alpha^2 underflows, 4/x_alpha^2 overflows, or x_alpha overflows:
+    # the closed forms would give NaN, divide by zero or return t_hat = 0
+    for tau_q, tau_0, alpha in ((1e-160, 1.0, 1.0), (1e-200, 1.0, 1.0), (1e300, 1e-10, 1e10)):
+        with pytest.raises(InvalidParam, match="x_alpha"):
+            KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)

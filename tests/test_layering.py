@@ -1,0 +1,28 @@
+"""Every public function and class of a ``kzsim`` layer module is used by the
+program: another line of ``src/kzsim`` (the package's re-exports aside), a
+benchmark script or the README names it.  A name that only tests call
+belongs under ``tests/``, as an oracle or a helper."""
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "kzsim"
+
+
+def test_public_names_are_used_outside_the_tests():
+    layers = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    lines = [line for p in (*layers, *sorted((ROOT / "bench").glob("*.py")), ROOT / "README.md")
+             for line in p.read_text().splitlines()]
+    unused = []
+    for path in layers:
+        module = importlib.import_module(f"kzsim.{path.stem}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                    or obj.__module__ != module.__name__):
+                continue
+            used, definition = re.compile(rf"\b{name}\b"), re.compile(rf"\s*(def|class) {name}\b")
+            if not any(used.search(line) and not definition.match(line) for line in lines):
+                unused.append(f"{module.__name__}.{name}")
+    assert not unused

@@ -5,7 +5,7 @@ import pytest
 
 from kzsim import model
 from kzsim.errors import DegenerateGround, GapClosed, InvalidParam
-from kzsim.model import (ModelParams, PHI_MINUS, SWAP, driven_hamiltonian,
+from kzsim.model import (ModelParams, PHI_MINUS, driven_hamiltonian,
                          effective_hamiltonian, ground_state, ground_vector,
                          relaxation_time, triplet_block, triplet_spectrum)
 
@@ -153,11 +153,12 @@ def test_effective_tau_matches_effective_gap():
 
 
 def test_swap_symmetry():
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # exchanges |01> and |10>
     rng = np.random.default_rng(11)
     for _ in range(50):
         p = ModelParams(bx=float(rng.uniform(0, 1)), bz=float(rng.uniform(-3, 3)))
         h = driven_hamiltonian(p)
-        comm = h @ SWAP - SWAP @ h
+        comm = h @ swap - swap @ h
         assert np.max(np.abs(comm)) < 1e-12
         # the singlet is an exact eigenvector with eigenvalue -1
         assert np.max(np.abs(h @ PHI_MINUS - (-1.0) * PHI_MINUS)) < 1e-12

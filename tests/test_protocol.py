@@ -12,8 +12,9 @@ from kzsim.errors import DegenerateGround, IndexOutOfRange, NoValidBranch
 from kzsim.evolve import SweepConfig, propagate, trotter_step
 from kzsim.model import GroundState, KET_00, ModelParams, ground_state, ground_vector
 from kzsim.protocol import (PrepAngles, gradient_crush, nmr_schedule,
-                            prep_angles, prep_operator, protocol_overlap,
-                            simulate_entries)
+                            prep_angles, prep_operator, protocol_overlap)
+
+from oracles import rx, ry, simulate_entries
 
 GOLDEN_SCHEDULE_J2 = """PULSE 1 x -0.112396383621
 PULSE 2 x -0.112396383621
@@ -113,14 +114,6 @@ def test_prep_operator_unitary_for_random_angles():
 
 
 def test_prep_operator_keeps_the_kron_form_bits():
-    def rx(flip):
-        c, s = math.cos(flip / 2), math.sin(flip / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-    def ry(flip):
-        c, s = math.cos(flip / 2), math.sin(flip / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
     uzz = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
     rng = np.random.default_rng(29)
     for _ in range(200):
