@@ -115,7 +115,11 @@ def _eps_sq(p: KzmParams) -> float:
 def freeze_out(p: KzmParams) -> tuple[float, float]:
     """Freeze-out time and rescaled distance (t_hat, eps_hat), in closed form."""
     eps_hat = math.sqrt(_eps_sq(p))
-    return eps_hat * p.tau_q, eps_hat
+    t_hat = eps_hat * p.tau_q
+    if not 0 < t_hat < math.inf:
+        raise InvalidParam(f"t_hat = eps_hat tau_q = {t_hat} is out of range: eps_hat = {eps_hat},"
+                           f" tau_q = {p.tau_q}")
+    return t_hat, eps_hat
 
 
 def predicted_defects(p: KzmParams) -> float:

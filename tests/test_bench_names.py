@@ -2,6 +2,7 @@
 traced benchmark wraps.  A rename or an inlining that would fail a traced
 run fails here first."""
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -19,7 +20,10 @@ def test_benchmark_call_counters_name_layer_functions():
         obj = importlib.import_module(f"kzsim.{layer}")
         for part in path:
             obj = getattr(obj, part, None)
-        # the tracer wraps the functions and methods a layer defines itself
-        assert callable(obj) and obj.__module__ == f"kzsim.{layer}", metric
+        # the tracer wraps the plain functions and methods a layer defines
+        # itself (inspect.isfunction, or a classmethod's __func__), so a
+        # functools.cache or other wrapper around a listed name fails here
+        func = getattr(obj, "__func__", obj)
+        assert inspect.isfunction(func) and func.__module__ == f"kzsim.{layer}", metric
         named.append(metric)
     assert named

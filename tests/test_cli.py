@@ -2,9 +2,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +298,78 @@ def test_print_config(capsys):
         cli.parse_args(["scan", "--print-config"])
     out = capsys.readouterr().out
     assert json.loads(out)["command"] == "scan"
+
+
+# valid argv, usage errors and validation errors, for the parser-reuse tests
+REUSE = (["scan", "--bx", "0.2", "--k", "0.5", "--t2", "2,0.2"], ["sweep", "--bx", "0.1"],
+         ["sweep", "--bx", "0.1", "--bx", "0.2", "--k-grid", "1,0.5"],
+         ["fit", "--k-grid", "experiment", "--backend", "trotter"], ["figure", "fig3"],
+         ["schedule", "--j", "3", "--b0=-1e9"], ["lz-check", "--bx", "0.2", "--k", "0.25"],
+         [], ["scan", "--nope"], ["figure", "fig9"], ["sweep", "--bx"],
+         ["scan", "--backend", "magic"], ["scan", "--k", "0"], ["sweep", "--bx", "-0.1"],
+         ["fit", "--k-grid", "x"], ["scan", "--t2", "1"], ["schedule", "--j", "-1"])
+
+
+def _parsed(argv):
+    try:
+        return cli.parse_args(argv).normalized()
+    except (UsageError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_parser_reuse_cannot_be_observed(monkeypatch, capsys):
+    def outcome(argv):
+        try:
+            return _parsed(argv)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().out
+
+    mixed = [*REUSE, ["scan", "--print-config"], ["sweep", "--bx", "0.3", "--print-config"]]
+    fresh = {}
+    for argv in mixed:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh[tuple(argv)] = outcome(argv)
+    assert cli._PARSER is not None
+    assert cli.build_parser() is cli.build_parser()
+    order = list(mixed)
+    for _ in range(2):
+        order.reverse()
+        assert {tuple(argv): outcome(argv) for argv in order} == fresh
+    assert sum(isinstance(v, str) for v in fresh.values()) == 7
+    assert {v[0] for v in fresh.values() if isinstance(v, tuple)} == {
+        "UsageError", "ValidationError", 0}
+
+
+def test_append_does_not_accumulate():
+    for _ in range(2):
+        assert cli.parse_args(["sweep", "--bx", "0.1"]).params["bx_values"] == (0.1,)
+
+
+def test_concurrent_parses_match_sequential(monkeypatch):
+    sequential = [_parsed(argv) for argv in REUSE]
+    monkeypatch.setattr(cli, "_PARSER", None)  # the threads race to build it
+    start = threading.Barrier(4)
+
+    def job():
+        start.wait(timeout=10)
+        return cli.build_parser(), [_parsed(argv) for argv in REUSE]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [run.result(timeout=60) for run in [pool.submit(job) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(parser is cli._PARSER for parser, _ in results)
+    assert all(parsed == sequential for _, parsed in results)
+
+
+def test_import_builds_no_parser():
+    # in a fresh process: no parser at import, one on the first parse_args
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import kzsim.cli as c;"
+            " assert c._PARSER is None; c.parse_args(['figure', 'fig3']);"
+            " assert c._PARSER is c.build_parser()")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kzsim import evolve, kzm
 from kzsim.errors import InvalidParam, UnknownFigure
@@ -64,14 +64,20 @@ def test_freeze_out_matches_bisection(log_tau_q, log_tau_0, log_alpha):
 
 @settings(max_examples=200, deadline=None)
 @given(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3)
+@example(1e300, 1e300, 1e-150)  # t_hat overflows
+@example(1e-300, 1e-300, 1e150)  # t_hat underflows
 def test_freeze_out_on_extreme_floats(tau_q, tau_0, alpha):
     try:
         p = KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)
     except InvalidParam:
         return
-    _, eps_hat = freeze_out(p)
-    assert 0 < eps_hat < math.inf
     assert 0 <= predicted_defects(p) <= 1
+    try:
+        t_hat, eps_hat = freeze_out(p)
+    except InvalidParam:
+        return
+    assert 0 < eps_hat < math.inf
+    assert 0 < t_hat < math.inf
 
 
 def test_freeze_out_time_scaling():
@@ -227,3 +233,7 @@ def test_invalid_kzm_params():
     for tau_q, tau_0, alpha in ((1e-160, 1.0, 1.0), (1e-200, 1.0, 1.0), (1e300, 1e-10, 1e10)):
         with pytest.raises(InvalidParam, match="x_alpha"):
             KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)
+    # in the domain, t_hat = eps_hat tau_q would overflow to inf or underflow to 0
+    for tau_q, tau_0, alpha in ((1e300, 1e300, 1e-150), (1e-300, 1e-300, 1e150)):
+        with pytest.raises(InvalidParam, match="t_hat"):
+            freeze_out(KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha))
