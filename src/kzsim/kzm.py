@@ -178,7 +178,8 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     """
     cfgs = [SweepConfig.from_rate(bx, k, **options) for bx in bx_values for k in k_values]
     work = sum(evolve._work(c) for c in cfgs)
-    evolve._check_work(work, f"grid of {len(cfgs)} scans needs {work} propagator steps")
+    evolve._check_work(work, f"grid of {len(cfgs)} scans needs"
+                             f" {evolve._count(work)} propagator steps")
     for c in cfgs:
         _tau_ratio(c)
     pts = sorted(_scaling_point(c) for c in cfgs)
@@ -208,7 +209,7 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     z0 = -1.0 - half_window
     total = 2.0 * half_window / k
     n = evolve._substep_count(total)
-    evolve._check_work(n, f"lz-check needs {n} substeps")
+    evolve._check_work(n, f"lz-check needs {evolve._count(n)} substeps")
     h = total / n
     ends = [hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z)))
             for z in (z0, z0 + k * total)]

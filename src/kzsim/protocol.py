@@ -26,7 +26,9 @@ exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -42,8 +44,9 @@ from .model import GroundState, KET_00, ModelParams, _both, ground_state
 Entry = tuple
 
 _FIDELITY_TOL = 1e-6
-# protocol_overlap's last call, replaced whole: (twin, j, state, lo, spectra from lo)
-_last = (None,) * 5
+# protocol_overlap's window, replaced whole: (twin, lo, the states at boundaries
+# lo.., the triplet spectra at the same boundaries)
+_last = (None,) * 4
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,21 @@ def prep_angles(g: GroundState) -> PrepAngles:
     below 1 - 1e-6, which only inputs off the unit sphere or with
     |c0 + c1| > 1 reach, raises NoValidBranch.
     """
+    return _prep(g)[0]
+
+
+def _prep(g: GroundState) -> tuple[PrepAngles, np.ndarray]:
+    """prep_angles(g) and the operator its fidelity check built."""
     s = min(1.0, max(-1.0, g.c0 + g.c1))
     alpha = math.acos(s)
     gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
     beta = -gamma - math.atan2(math.sqrt(2) * g.cplus, g.c0 - g.c1)
     a = PrepAngles(alpha=alpha, beta=(beta + math.pi) % (2 * math.pi) - math.pi, gamma=gamma)
-    fid = abs(np.vdot(g.vector(), prep_operator(a) @ KET_00)) ** 2
+    p = prep_operator(a)
+    fid = abs(np.vdot(g.vector(), p @ KET_00)) ** 2
     if fid < 1.0 - _FIDELITY_TOL:
         raise NoValidBranch(f"the preparation does not reproduce the ground state (fidelity {fid})")
-    return a
+    return a, p
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
@@ -137,26 +146,33 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     returns the |00> population.  The crush does not touch the diagonal, so
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
 
-    The last call is remembered: its config's trotter twin without t2 (all
-    the overlap reads), the state after segment j and up to SUBSTEP_CHUNK
-    triplet spectra from j on, one stack.  A call with an equal twin (==)
-    and j >= the remembered i resumes (j - i trotter steps); others start
-    from P(0)|00>.  Results do not depend on call order.
+    A window of boundaries is remembered: the config's trotter twin without
+    t2 (all the overlap reads), the states at up to SUBSTEP_CHUNK boundaries
+    from some lo on and their triplet spectra, one stack each.  A call with
+    an equal twin (==) and j in the window reads its state; past the window
+    it resumes from the window's last state, before it from P(0)|00>, and
+    either way a new window starts at j.  Only boundary j's ground state is
+    checked and unprepared.  Results do not depend on call order.  A j that
+    is not an integer in 0..steps (a bool neither) raises IndexOutOfRange.
     """
     global _last
-    if not 0 <= j <= cfg.steps:
-        raise IndexOutOfRange(f"segment index {j} outside 0..{cfg.steps}")
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
+        raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
     run, last = replace(cfg, backend="trotter", t2=None), _last  # one read of the tuple
-    i, psi, lo, sd = last[1:] if last[0] == run else (0, None, 0, None)
-    if psi is None or i > j:
-        i, psi = 0, prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))) @ KET_00
-    psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
-    if sd is None or not lo <= j < lo + len(sd.gap):
-        lo, bz = j, cfg.field(np.arange(j, min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)))
-        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz))
-    _last = (run, j, psi, lo, sd)
+    lo, states, sd = last[1:] if last[0] == run else (0, (), None)
+    if not lo <= j < lo + len(states):
+        if states and j > lo:
+            i, psi = lo + len(states) - 1, states[-1]
+        else:
+            i, psi = 0, _prep(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))[1] @ KET_00
+        psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
+        lo, hi = j, min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)
+        segments = _segment_unitaries(run, j + 1, hi - 1)
+        states = tuple(itertools.accumulate(segments, _advance, initial=psi))
+        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
+        _last = (run, lo, states, sd)
     g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
-    psi = prep_operator(prep_angles(g)).conj().T @ psi
+    psi = _prep(g)[1].conj().T @ states[j - lo]
     rho = gradient_crush(np.outer(psi, psi.conj()))
     return float(rho[0, 0].real)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -124,11 +125,12 @@ def test_prep_operator_keeps_the_kron_form_bits():
 
 
 def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
-    # the segment stream crosses chunk boundaries; trotter steps apply on
-    # either backend
+    # the windows of 4 boundaries run out every few calls; trotter steps
+    # apply on either backend; all eight experimental settings
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
-    for backend in ("trotter", "reference"):
-        cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend=backend)
+    for bx, k, backend in itertools.product((0.1, 0.2), (1.0, 1 / 2, 1 / 3, 1 / 4),
+                                            ("trotter", "reference")):
+        cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend)
         p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
         psi = p0 @ KET_00
         for j in range(cfg.steps + 1):
@@ -137,7 +139,7 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
             pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
             out = pj.conj().T @ psi
             rho = gradient_crush(np.outer(out, out.conj()))
-            assert protocol_overlap(cfg, j) == float(rho[0, 0].real), (backend, j)
+            assert protocol_overlap(cfg, j) == float(rho[0, 0].real), (bx, k, backend, j)
 
 
 def loop_overlaps(cfg):
@@ -186,21 +188,24 @@ def counted_trotter_steps(monkeypatch):
 
 
 def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
-    # both run trotter steps, so the twin resumes where the reference call
-    # stopped, and the reference config where the twin stopped
+    # both run trotter steps, so the twin reads the window the reference
+    # call filled, and the reference config the twin's; the first call
+    # reaches boundary 2 and fills the window 2..15, the last restarts
     ref = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
     twin = replace(ref, backend="trotter")
     expected = loop_overlaps(twin)
     steps = counted_trotter_steps(monkeypatch)
-    for cfg, j in ((ref, 2), (ref, 6), (twin, 7), (twin, 11), (ref, 12), (ref, 15), (twin, 3)):
+    forget(monkeypatch)
+    for cfg, j, stacks in ((ref, 2, [2, 13]), (ref, 6, []), (twin, 7, []), (twin, 11, []),
+                           (ref, 12, []), (ref, 15, []), (twin, 3, []), (twin, 1, [1, 14])):
         steps.clear()
         assert protocol_overlap(cfg, j) == expected[j], (cfg.backend, j)
-    assert steps == [3]  # the last call restarted; the others resumed
+        assert steps == stacks, (cfg.backend, j)
 
 
 def test_protocol_overlap_keys_by_equality(monkeypatch):
     # t2 as a list makes a config unhashable, and as an array makes == an
-    # array; neither changes the overlap, and an equal copy resumes
+    # array; neither changes the overlap, and an equal copy reads the window
     base = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     expected = loop_overlaps(base)
     steps = counted_trotter_steps(monkeypatch)
@@ -211,7 +216,7 @@ def test_protocol_overlap_keys_by_equality(monkeypatch):
         assert protocol_overlap(cfg, 5) == expected[5]
         steps.clear()
         assert protocol_overlap(copy, 6) == expected[6]
-        assert steps == [1]
+        assert steps == []
         for j in (9, 2, 15):
             assert protocol_overlap(cfg if j % 2 else copy, j) == expected[j]
 
@@ -274,11 +279,15 @@ def test_protocol_overlap_work_per_call_is_bounded(monkeypatch):
     steps = counted_trotter_steps(monkeypatch)
     forget(monkeypatch)
     chunk = evolve.SUBSTEP_CHUNK
-    protocol_overlap(cfg, 0)  # cold: the start's ground state and one look-ahead
+    protocol_overlap(cfg, 0)  # cold: the start's ground state and one window
     assert len(eig_sizes) <= 2 and max(eig_sizes) <= chunk and len(steps) <= 1
-    # resumed calls: one step and no spectrum; then a jump of a whole chunk
-    # past the look-ahead of boundaries 0..chunk-1
-    for j, eigs, stacks in ((1, [], [1]), (chunk + 1, [chunk], [chunk]), (chunk + 2, [], [1])):
+    assert max(steps) <= chunk - 1
+    # inside the window 0..chunk-1 nothing is built; past it, two steps from
+    # its last state reach chunk + 1 and one stack fills the next window; an
+    # index before that window restarts from the start's ground state
+    for j, eigs, stacks in ((1, [], []), (chunk + 1, [chunk], [2, chunk - 1]),
+                            (chunk + 2, [], []), (2 * chunk, [], []),
+                            (1, [1, chunk], [1, chunk - 1])):
         eig_sizes.clear(), steps.clear()
         protocol_overlap(cfg, j)
         assert (eig_sizes, steps) == (eigs, stacks), j
@@ -313,6 +322,13 @@ def test_protocol_overlap_index_errors():
         protocol_overlap(cfg, -1)
     with pytest.raises(IndexOutOfRange):
         protocol_overlap(cfg, cfg.steps + 1)
+    # a float, bool, str or None index is refused as out of range, not left
+    # to range() (a TypeError for 3.0) or read as a boundary (True as 1)
+    for j in (3.0, True, False, np.bool_(True), "3", None, np.float64(2.0)):
+        with pytest.raises(IndexOutOfRange):
+            protocol_overlap(cfg, j)
+    for j in (2, np.int64(2), np.int32(2), np.uint8(2)):
+        assert protocol_overlap(cfg, j) == protocol_overlap(cfg, 2)
 
 
 def test_gradient_crush():
