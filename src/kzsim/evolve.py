@@ -18,15 +18,16 @@ The trotter split applies the transverse rotation first and the longitudinal
 plus coupling phases second within each segment, the same order in which the
 pulse block and the free-evolution delay occur in the sequence.
 
-Observables: defect density D = 1 - |<psi_g|psi>|^2, instantaneous
-eigenpopulations, and two-qubit concurrence, computed from stacks of up to
-SUBSTEP_CHUNK boundary states once the run has passed them.  Transverse
-relaxation is modelled as a per-qubit phase damping channel applied after
-each segment, with decay exp(-dt/T2) over the physical segment duration
-dt = 2*delta/(pi*J).
+A run is one stream of boundary states (``_states``) read by observers:
+defect density D = 1 - |<psi_g|psi>|^2, eigenpopulations (pure or mixed) and
+two-qubit concurrence, from stacks of up to SUBSTEP_CHUNK passed boundaries.
+Transverse relaxation is modelled as a per-qubit phase damping channel
+applied after each segment, with decay exp(-dt/T2) over the physical
+segment duration dt = 2*delta/(pi*J).
 
 ``scan`` starts a run in the ground state at b0 and evolves it as a pure
-state, or as a dephased density matrix when T2 times are configured.
+state, or as a dephased density matrix when T2 times are configured;
+``final_defect`` observes only the same run's last boundary, for the fits.
 """
 from __future__ import annotations
 
@@ -89,6 +90,10 @@ class SweepConfig:
     j_hz: float = J_HZ
 
     def __post_init__(self) -> None:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ConfigInconsistent(f"segment count must be an integer, got {self.steps!r}")
+        if not abs(self.steps) < 2 ** 1023:
+            raise ConfigInconsistent(f"segment count |steps| = {_count(abs(self.steps))} overflows a float")
         _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
         _require(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
         if self.bx < 0:
@@ -301,21 +306,25 @@ def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
     return float(conc[0]) if np.ndim(rho) == 2 else conc
 
 
-def _observe_pure(psi: np.ndarray, vectors: np.ndarray):
+def _populations_pure(psi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Populations |<v_i|psi>|^2 of the triplet eigenvector columns v_i
-    (over {|00>, |phi+>, |11>}) and concurrences of a stack of states."""
+    (over {|00>, |phi+>, |11>}) of a stack of states."""
     coords = np.stack([psi[:, 0], (psi[:, 1] + psi[:, 2]) / math.sqrt(2), psi[:, 3]], axis=-1)
     amplitudes = (_dagger(vectors) @ coords[..., None])[..., 0]
-    return np.abs(amplitudes) ** 2, concurrence(psi)
+    return np.abs(amplitudes) ** 2
 
 
-def _observe_mixed(rho: np.ndarray, vectors: np.ndarray):
+def _populations_mixed(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Populations <v_i|rho|v_i> of the same columns embedded in the
-    4-dimensional basis, and concurrences, of a stack of density matrices."""
+    4-dimensional basis, of a stack of density matrices."""
     basis = np.stack([model.KET_00, model.PHI_PLUS, model.KET_11], axis=-1)
     cols = np.swapaxes(basis @ vectors, -1, -2)[..., None]
-    pops = (_dagger(cols) @ (rho[:, None] @ cols))[..., 0, 0].real
-    return pops, concurrence_mixed(rho)
+    return (_dagger(cols) @ (rho[:, None] @ cols))[..., 0, 0].real
+
+
+def _defect(a0: np.ndarray) -> np.ndarray:
+    """Defect densities 1 - a0 of ground-state populations a0, clipped to [0, 1]."""
+    return np.clip(1.0 - a0, 0.0, 1.0)
 
 
 def _advance(psi: np.ndarray, unitaries) -> np.ndarray:
@@ -325,29 +334,42 @@ def _advance(psi: np.ndarray, unitaries) -> np.ndarray:
     return psi
 
 
-def _run(cfg: SweepConfig, state: np.ndarray, advance, observe) -> ScanTrace:
-    """Scan loop shared by the pure and the mixed run.
+def _dephasing_advance(cfg: SweepConfig):
+    """The mixed run's advance: conjugation by each propagator, then one segment's damping."""
+    mask = phase_damping_factors(cfg)
 
-    ``advance(state, unitaries)`` carries the state across one segment.
-    The boundary states are handed, SUBSTEP_CHUNK at a time, to
-    ``observe(states, vectors)`` with the triplet eigenvectors at their
-    fields; it returns their populations and concurrences.
-    """
+    def advance(rho, unitaries):
+        for u in unitaries:
+            rho = u @ rho @ u.conj().T
+        return rho * mask
+    return advance
+
+
+def _states(cfg: SweepConfig, state: np.ndarray, advance):
+    """The boundary-state stream of a run, lazily and in order: ``state``,
+    then ``advance(state, unitaries)`` across each segment."""
     if not math.isfinite(cfg.steps * cfg.delta):
         raise ConfigInconsistent(f"scan time t = {cfg.steps} x delta = {cfg.delta} overflows")
+    return itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
+
+
+def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, concurrences) -> ScanTrace:
+    """Observe every boundary of a run, pure or mixed: its states are handed,
+    SUBSTEP_CHUNK at a time, to ``populations(states, vectors)``, with the
+    triplet eigenvectors at their fields, and to ``concurrences(states)``."""
+    states = _states(cfg, state, advance)
     n = cfg.steps + 1
     steps = np.arange(n)
     bz = cfg.field(steps)
     pops, conc = np.empty((n, 3)), np.empty(n)
-    states = itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
     for lo in range(0, n, SUBSTEP_CHUNK):
         hi = min(lo + SUBSTEP_CHUNK, n)
         chunk = np.array(list(itertools.islice(states, hi - lo)))
         vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[lo:hi])).eigenvectors
-        pops[lo:hi], conc[lo:hi] = observe(chunk, vectors)
+        pops[lo:hi], conc[lo:hi] = populations(chunk, vectors), concurrences(chunk)
     return ScanTrace(
         t=steps * cfg.delta, bz=bz,
-        defect=np.clip(1.0 - pops[:, 0], 0.0, 1.0), overlap=pops[:, 0].copy(),
+        defect=_defect(pops[:, 0]), overlap=pops[:, 0].copy(),
         a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
     )
 
@@ -363,7 +385,7 @@ def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
         raise ValueError(f"initial state must have 4 components, got {psi.shape}")
     if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError("initial state is not normalized")
-    return _run(cfg, psi, _advance, _observe_pure)
+    return _run(cfg, psi, _advance, _populations_pure, concurrence)
 
 
 def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
@@ -396,14 +418,7 @@ def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
     if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
         raise ValueError("density matrix must have unit trace")
-    mask = phase_damping_factors(cfg)
-
-    def advance(rho, unitaries):
-        for u in unitaries:
-            rho = u @ rho @ u.conj().T
-        return rho * mask
-
-    return _run(cfg, rho, advance, _observe_mixed)
+    return _run(cfg, rho, _dephasing_advance(cfg), _populations_mixed, concurrence_mixed)
 
 
 def scan(cfg: SweepConfig) -> ScanTrace:
@@ -413,3 +428,17 @@ def scan(cfg: SweepConfig) -> ScanTrace:
     if cfg.t2 is None:
         return propagate(cfg, start)
     return dephase_propagate(cfg, np.outer(start, start.conj()))
+
+
+def final_defect(cfg: SweepConfig) -> float:
+    """``scan(cfg).final_defect``, bit for bit and with the same refusals, from
+    the same stream: only its last state is observed, as a stack of one."""
+    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
+    state, advance, populations = start, _advance, _populations_pure
+    if cfg.t2 is not None:
+        state, populations = np.outer(start, start.conj()), _populations_mixed
+        advance = _dephasing_advance(cfg)
+    for state in _states(cfg, state, advance):
+        pass
+    last = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([cfg.steps]))))
+    return float(_defect(populations(state[None], last.eigenvectors)[0, 0]))

@@ -163,11 +163,11 @@ def _tau_ratio(cfg: SweepConfig) -> float:
 
 
 def _scaling_point(cfg: SweepConfig) -> tuple[float, float]:
-    return _tau_ratio(cfg), evolve.scan(cfg).final_defect
+    return _tau_ratio(cfg), evolve.final_defect(cfg)
 
 
 def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
-    """One scan per (bx, k) pair; defect sampled at the end of the window.
+    """One run per (bx, k) pair; ``evolve.final_defect`` reads its last boundary alone.
 
     ``options`` go to ``SweepConfig.from_rate``, whose default window ends
     at bz = -0.2.  The points are pooled into a single fit, so call once per

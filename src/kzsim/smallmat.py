@@ -41,9 +41,9 @@ def _order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the eigenpairs (w ascending on the last axis, as ``eigh``
     returns it, v by columns; either may be a stack) inside each degenerate
     cluster by the basis index of each vector's largest component."""
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
-    # clusters are maximal runs of near-equal eigenvalues
-    breaks = np.abs(np.diff(w, axis=-1)) > DEGENERACY_TOL * scale
+    # clusters: maximal runs of near-equal eigenvalues; w ascends, so max|w| is at an end
+    scale = np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
+    breaks = np.diff(w, axis=-1) > DEGENERACY_TOL * scale
     if breaks.all():  # no cluster; skips the cost below on most calls
         return w, v
     cluster = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
@@ -76,22 +76,23 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
     n = a.shape[-1]
     if not 2 <= n <= 4:
         raise DimensionMismatch(f"dimension {n} outside the supported range 2..4")
-    if not np.all(np.isfinite(a)):
-        raise NonHermitianInput("matrix entries must be finite")
     stack = a.reshape(-1, n, n)  # a single matrix as a stack of one
     herm = np.swapaxes(stack.conj(), -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        sym = (stack + herm) / 2.0
+    finite = np.isfinite(sym).all()  # a non-finite entry of a makes one of sym
+    if not (finite or np.isfinite(a).all()):
+        raise NonHermitianInput("matrix entries must be finite")
     defect = float(np.max(np.abs(stack - herm), initial=0.0))
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
-        sym = (stack + herm) / 2.0
-    if not np.all(np.isfinite(sym)):
+    if not finite:
         raise NonHermitianInput("(M + M^dag)/2 overflows; entries must stay below ~9e307")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition of a {n}x{n} matrix failed: {exc}") from None
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise NoConvergence(f"eigendecomposition of a {n}x{n} matrix is not finite")
     w, v = _order(w, v)
     v = _fix_phases(v)

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from kzsim import evolve, model
+from kzsim import evolve, kzm, model
 from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
                           concurrence_mixed, dephase_propagate, propagate,
@@ -45,6 +45,24 @@ def test_config_validation():
         SweepConfig.from_rate(-0.1, 1.0, backend="trotter")
     with pytest.raises(ConfigInconsistent, match="transverse field must be >= 0, got -0.1"):
         SweepConfig(-0.1, 1.0, delta=0.1, steps=13)
+
+
+def test_steps_must_be_an_integer_a_float_holds():
+    def build(steps):
+        return SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=steps, backend="trotter")
+
+    for steps in (2.5, 13.0, True, None, "13"):
+        with pytest.raises(ConfigInconsistent, match="segment count must be an integer"):
+            build(steps)
+    for steps in (10**400, -10**400, 10**5000):
+        with pytest.raises(ConfigInconsistent, match="overflows a float"):
+            build(steps)
+    # python and numpy integers are both accepted, and run alike
+    numpy_steps = build(np.int64(13))
+    assert numpy_steps == build(13)
+    for name in ("t", "bz", "defect", "concurrence"):
+        assert getattr(scan(numpy_steps), name).tobytes() == getattr(scan(build(13)), name).tobytes()
+    assert evolve.final_defect(numpy_steps) == scan(build(13)).final_defect
 
 
 def test_fields_and_trotter_phases_bounded():
@@ -154,12 +172,10 @@ def test_observers_give_eigenstates_unit_populations():
     sd = model.triplet_spectrum(ModelParams(bx=0.13, bz=-0.8))
     states = np.stack([embed(sd.eigenvectors[:, i]) for i in range(3)])
     vectors = np.stack([sd.eigenvectors] * 3)
-    pops, conc = evolve._observe_pure(states, vectors)
-    assert np.allclose(pops, np.eye(3), atol=1e-12)
+    assert np.allclose(evolve._populations_pure(states, vectors), np.eye(3), atol=1e-12)
     rhos = np.stack([np.outer(psi, psi.conj()) for psi in states])
-    pops_mixed, conc_mixed = evolve._observe_mixed(rhos, vectors)
-    assert np.allclose(pops_mixed, np.eye(3), atol=1e-12)
-    assert np.allclose(conc_mixed, conc, atol=1e-7)
+    assert np.allclose(evolve._populations_mixed(rhos, vectors), np.eye(3), atol=1e-12)
+    assert np.allclose(evolve.concurrence_mixed(rhos), evolve.concurrence(states), atol=1e-7)
 
 
 def test_ground_state_has_no_defects():
@@ -168,7 +184,7 @@ def test_ground_state_has_no_defects():
         cfg = SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=0, b0=-0.4, t2=t2)
         assert scan(cfg).defect == pytest.approx([0.0], abs=1e-12)
     sd = model.triplet_spectrum(ModelParams(bx=0.1, bz=-0.4))
-    pops, _ = evolve._observe_pure(embed(sd.eigenvectors[:, 1])[None], sd.eigenvectors[None])
+    pops = evolve._populations_pure(embed(sd.eigenvectors[:, 1])[None], sd.eigenvectors[None])
     assert 1.0 - pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -257,6 +273,42 @@ def test_boundary_chunking_keeps_bits(monkeypatch):
         trace = scan(cfg)
         for field in dataclasses.fields(ScanTrace):
             assert getattr(trace, field.name).tobytes() == getattr(full, field.name).tobytes()
+
+
+def fit_configs():
+    """The configs the scaling fits and fig4 run (both ideal grids and the
+    experiment grid, each on both backends, with and without T2), and the
+    experiment grid over fig3's window to bz = 0: 14 boundaries end on a
+    chunk edge of 7, 16 inside a chunk."""
+    grids = [(bx, k, -0.2) for bx in kzm.EXPERIMENT_BX_VALUES
+             for k in (*kzm.IDEAL_K_VALUES, *kzm.EXPERIMENT_K_VALUES)]
+    grids += [(bx, k, 0.0) for bx in kzm.EXPERIMENT_BX_VALUES for k in kzm.EXPERIMENT_K_VALUES]
+    return [SweepConfig.from_rate(bx, k, bz_end=end, backend=backend, t2=t2)
+            for bx, k, end in grids for backend in evolve.BACKENDS
+            for t2 in (None, kzm.T2_DEFAULT)]
+
+
+def test_final_defect_is_the_scans_last_defect(monkeypatch):
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
+    cfgs = fit_configs()
+    assert {cfg.steps + 1 for cfg in cfgs} == {14, 16}
+    for cfg in cfgs:
+        expected = np.float64(scan(cfg).final_defect).tobytes()
+        assert np.float64(evolve.final_defect(cfg)).tobytes() == expected, cfg
+
+
+def test_final_defect_refuses_what_scan_refuses():
+    overflowing = SweepConfig.from_rate(0.1, 5e-309, backend="trotter")  # t = 13 x 2e307
+    refused = [overflowing, dataclasses.replace(overflowing, t2=(2.0, 0.2)),
+               dataclasses.replace(overflowing, t2=(-1.0, 0.2))]
+    refused += [SweepConfig.from_rate(0.1, 1.0, t2=t2) for t2 in ((0.0, 1.0), (1.0,), (math.inf, 1.0))]
+    for cfg in refused:
+        with pytest.raises(Exception) as by_scan:
+            scan(cfg)
+        with pytest.raises(type(by_scan.value)) as by_final:
+            evolve.final_defect(cfg)
+        assert str(by_final.value) == str(by_scan.value)
+        assert isinstance(by_scan.value, (ConfigInconsistent, InvalidT2))
 
 
 def test_work_limit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kzsim import evolve, kzm
+from kzsim import evolve, kzm, model
 from kzsim.errors import InvalidParam, UnknownFigure
 from kzsim.kzm import (KzmParams, ScalingFit, fit_scaling, freeze_out,
                        lz_check, predicted_defects, quench_time,
@@ -130,6 +130,26 @@ def test_run_scaling_sweep_smoke():
     assert 0.5 < fit.alpha_hat < 2.5
     record = fit.to_record()
     assert set(record) == {"alpha_hat", "r", "n_points", "bx_values", "backend"}
+
+
+def test_scaling_sweep_reads_only_the_last_boundary(monkeypatch):
+    calls, fields = [], []
+    spectrum = model.triplet_spectrum
+
+    def spy(p):
+        fields.append(np.atleast_1d(p.bz).tolist())
+        return spectrum(p)
+
+    monkeypatch.setattr(model, "triplet_spectrum", spy)
+    for name in ("concurrence", "concurrence_mixed"):
+        monkeypatch.setattr(evolve, name, lambda *args, name=name: calls.append(name))
+    options = {"backend": "trotter", "t2": kzm.T2_DEFAULT}
+    fit = run_scaling_sweep(kzm.EXPERIMENT_BX_VALUES, kzm.EXPERIMENT_K_VALUES, **options)
+    assert fit.n_points == 8 and calls == []
+    # one field per call: each run's ground state at b0, and its last boundary
+    cfgs = [evolve.SweepConfig.from_rate(bx, k, **options)
+            for bx in kzm.EXPERIMENT_BX_VALUES for k in kzm.EXPERIMENT_K_VALUES]
+    assert sorted(fields) == sorted([[c.b0] for c in cfgs] + [[c.bz_end] for c in cfgs])
 
 
 def test_lz_check_against_formula():

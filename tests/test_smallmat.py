@@ -292,6 +292,19 @@ def test_symmetrization_overflow_rejected():
             hermitian_eig(m)
 
 
+
+def test_refusals_keep_their_order():
+    # a non-finite entry is named first, then the Hermitian defect, then the overflow
+    for m, message in ((np.array([[np.nan, 0.0], [1.0, 0.0]]), "must be finite"),
+                       (np.diag([np.inf, -np.inf]), "must be finite"),
+                       (np.array([[0.0, complex(1.0, np.inf)], [np.inf, 0.0]]), "must be finite"),
+                       (np.stack([np.eye(2), np.diag([np.nan, 1.0])]), "must be finite"),
+                       (np.array([[1.7e308, 1.0], [0.0, 1.0]]), "exceeds"),
+                       (np.diag([1.7e308, 1.0]), "overflows")):
+        with pytest.raises(NonHermitianInput, match=message):
+            hermitian_eig(m)
+
+
 # sha256 of the eigenvalues, eigenvectors and 0.01-unit propagators of
 # kernel_groups(); like tests/golden, tied to this numpy, its bundled
 # OpenBLAS/LAPACK build and the CPU kernels it picks at run time
