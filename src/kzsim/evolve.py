@@ -181,12 +181,11 @@ class ScanTrace:
 
     def to_csv(self) -> str:
         """Render as CSV with 12-significant-digit decimals."""
-        lines = [self.CSV_HEADER]
         cols = (self.t, self.bz, self.defect, self.overlap,
                 self.a0, self.a1, self.a2, self.concurrence)
-        for i in range(len(self.t)):
-            lines.append(",".join(format(float(c[i]), ".12g") for c in cols))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.12g"] * len(cols))  # "%.12g" % x renders as format(x, ".12g")
+        lines = (row % r for r in zip(*(c.tolist() for c in cols)))
+        return "\n".join([self.CSV_HEADER, *lines]) + "\n"
 
 
 def ramp(b0: float, k: float, t: float) -> float:
@@ -330,7 +329,7 @@ def _defect(a0: np.ndarray) -> np.ndarray:
 def _advance(psi: np.ndarray, unitaries) -> np.ndarray:
     """Apply ``unitaries`` to the state vector ``psi`` in the order given."""
     for u in unitaries:
-        psi = np.dot(u, psi)
+        psi = u.dot(psi)
     return psi
 
 
@@ -340,7 +339,7 @@ def _dephasing_advance(cfg: SweepConfig):
 
     def advance(rho, unitaries):
         for u in unitaries:
-            rho = u @ rho @ u.conj().T
+            rho = u.dot(rho).dot(u.conj().T)
         return rho * mask
     return advance
 
@@ -400,10 +399,11 @@ def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
     if len(cfg.t2) != 2 or any(x <= 0 or not math.isfinite(x) for x in cfg.t2):
         raise InvalidT2(f"T2 times must be positive and finite, got {cfg.t2}")
     dt = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
-    # one factor per qubit, exp(-dt/T2_i) where its bit flips; the Kronecker
-    # product over the qubits follows the basis order |q1 q2>
+    # one factor per qubit, exp(-dt/T2_i) where its bit flips; their Kronecker
+    # product, as in model._both, follows the basis order |q1 q2>
     lam1, lam2 = (math.exp(-dt / t2i) for t2i in cfg.t2)
-    return np.kron([[1.0, lam1], [lam1, 1.0]], [[1.0, lam2], [lam2, 1.0]])
+    f1, f2 = np.array([[1.0, lam1], [lam1, 1.0]]), np.array([[1.0, lam2], [lam2, 1.0]])
+    return (f1[:, None, :, None] * f2[None, :, None, :]).reshape(4, 4)
 
 
 def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:

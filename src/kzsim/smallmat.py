@@ -38,27 +38,30 @@ class SpectralData:
 
 
 def _order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the eigenpairs (w ascending on the last axis, as ``eigh``
-    returns it, v by columns; either may be a stack) inside each degenerate
+    """Sort the eigenpairs of a stack (w (N, n) ascending on the last axis,
+    as ``eigh`` returns it, v (N, n, n) by columns) inside each degenerate
     cluster by the basis index of each vector's largest component."""
     # clusters: maximal runs of near-equal eigenvalues; w ascends, so max|w| is at an end
     scale = np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
-    breaks = np.diff(w, axis=-1) > DEGENERACY_TOL * scale
+    breaks = w[..., 1:] - w[..., :-1] > DEGENERACY_TOL * scale  # np.diff, without its wrapper
     if breaks.all():  # no cluster; skips the cost below on most calls
         return w, v
+    n = w.shape[-1]
     cluster = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
-    order = np.lexsort((np.argmax(np.abs(v), axis=-2), cluster), axis=-1)
-    return (np.take_along_axis(w, order, axis=-1),
-            np.take_along_axis(v, order[..., None, :], axis=-1))
+    # a stable sort of one key is lexsort's order of (cluster, argmax row)
+    order = np.argsort(cluster * n + np.abs(v).argmax(axis=-2), axis=-1, kind="stable")
+    k = np.arange(len(w))[:, None]
+    return w[k, order], v[k[..., None], np.arange(n)[:, None], order[:, None, :]]
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real and positive
-    (columns of the last axis; v may be a stack).  The columns are those of
+    (columns of each matrix of a stack (N, n, n)).  The columns are those of
     a unitary, so none is zero."""
-    row = np.argmax(np.abs(v), axis=-2)[..., None, :]
-    ref = np.take_along_axis(v, row, axis=-2)
-    return v * (ref.conj() / np.abs(ref))
+    a = np.abs(v)
+    k, col = np.arange(len(v))[:, None], np.arange(v.shape[-1])
+    row = a.argmax(axis=-2)
+    return v * (v[k, row, col].conj() / a[k, row, col])[:, None, :]
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralData:
@@ -78,12 +81,13 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
         raise DimensionMismatch(f"dimension {n} outside the supported range 2..4")
     stack = a.reshape(-1, n, n)  # a single matrix as a stack of one
     herm = np.swapaxes(stack.conj(), -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+    with np.errstate(over="ignore", invalid="ignore"):  # both checked below
         sym = (stack + herm) / 2.0
+        # an exactly Hermitian stack (every Hamiltonian) has no defect to measure
+        defect = 0.0 if (stack == herm).all() else float(np.max(np.abs(stack - herm), initial=0.0))
     finite = np.isfinite(sym).all()  # a non-finite entry of a makes one of sym
     if not (finite or np.isfinite(a).all()):
         raise NonHermitianInput("matrix entries must be finite")
-    defect = float(np.max(np.abs(stack - herm), initial=0.0))
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
     if not finite:

@@ -8,11 +8,16 @@ does not use LAPACK, and matrix exponentials from a plain Taylor series.
 The effective two-level relaxation time is the closed form of the
 Landau-Zener reduction.  The freeze-out instant is found by plain bisection
 of tau(t) = alpha t, and a pulse schedule is simulated entry by entry from
-explicit 2x2 rotations and Kronecker products.
+explicit 2x2 rotations and Kronecker products.  The eigenpair ordering and
+phasing rules of ``kzsim.smallmat`` are kept here in their first, plainer
+form (``lexsort`` and ``take_along_axis``), to which the package's must
+stay equal bit for bit.
 """
 import math
 
 import numpy as np
+
+from kzsim.smallmat import DEGENERACY_TOL
 
 # off-diagonal Frobenius norm at which the Jacobi iteration stops
 JACOBI_TOL = 1e-14
@@ -197,3 +202,26 @@ def simulate_entries(entries, j_hz: float) -> np.ndarray:
         else:
             raise ValueError(f"unknown schedule entry {e!r}")
     return u
+
+
+def lexsort_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of ``np.linalg.eigh`` (w ascending on the last axis,
+    v by columns; either may be a stack), sorted inside each cluster of
+    eigenvalues closer than DEGENERACY_TOL x max(1, max|w|) by the basis
+    index of each vector's largest component, ties kept in eigh's order."""
+    scale = np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
+    breaks = np.diff(w, axis=-1) > DEGENERACY_TOL * scale
+    if breaks.all():
+        return w, v
+    cluster = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
+    order = np.lexsort((np.argmax(np.abs(v), axis=-2), cluster), axis=-1)
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[..., None, :], axis=-1))
+
+
+def lead_phases(v: np.ndarray) -> np.ndarray:
+    """The columns of v (or of each matrix of a stack) rephased so that each
+    one's largest-magnitude component is real and positive."""
+    row = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    ref = np.take_along_axis(v, row, axis=-2)
+    return v * (ref.conj() / np.abs(ref))

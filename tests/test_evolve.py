@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kzsim import evolve, kzm, model
 from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
@@ -437,3 +439,56 @@ def test_csv_serialization():
     assert lines[0] == ScanTrace.CSV_HEADER
     assert len(lines) == cfg.steps + 2
     assert text == propagate(cfg, start_state(0.1, -1.5)).to_csv()
+
+
+@pytest.mark.parametrize("backend", evolve.BACKENDS)
+@pytest.mark.parametrize("t2", [None, (2.0, 0.2)])
+def test_advance_steps_keep_their_bits(backend, t2):
+    # one chunk of the propagators a run applies: the reference substeps of
+    # its first segments (80 each at k = 1/8), or 256 trotter steps
+    k, bz_end = (0.125, -0.2) if backend == "reference" else (1.0, 24.1)
+    cfg = SweepConfig.from_rate(0.1, k, bz_end=bz_end, backend=backend, t2=t2)
+    chunk = evolve.SUBSTEP_CHUNK
+    us = list(itertools.islice(itertools.chain.from_iterable(evolve._segment_unitaries(cfg)), chunk))
+    assert len(us) == chunk
+    start = start_state(0.1, cfg.b0)
+    if t2 is None:
+        advance, state = evolve._advance, start
+
+        def written_out(psi, unitaries):
+            for u in unitaries:
+                psi = np.dot(u, psi)
+            return psi
+    else:
+        advance, state = evolve._dephasing_advance(cfg), np.outer(start, start.conj())
+        mask = evolve.phase_damping_factors(cfg)
+
+        def written_out(rho, unitaries):
+            for u in unitaries:
+                rho = u @ rho @ u.conj().T
+            return rho * mask
+    # the whole chunk as one segment, then each propagator as a segment of its own
+    assert advance(state, us).tobytes() == written_out(state, us).tobytes()
+    a = b = state
+    for u in us:
+        a, b = advance(a, [u]), written_out(b, [u])
+        assert a.tobytes() == b.tobytes()
+
+
+# values whose renderings have edge cases: signed zeros, infinities, NaN,
+# subnormals, integers stored as floats, and the rounding of 12 digits
+CSV_SPECIALS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1 / 3, 999999999999.5, 1e-5, 1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(CSV_SPECIALS),
+                                      st.integers(-2 ** 60, 2 ** 60).map(float))] * 8),
+                max_size=6))
+def test_csv_renders_each_value_as_format_g12(rows):
+    cols = np.array(rows, dtype=float).reshape(-1, 8).T
+    trace = ScanTrace(*cols)
+    expected = [ScanTrace.CSV_HEADER]
+    for i in range(len(rows)):
+        expected.append(",".join(format(float(c[i]), ".12g") for c in cols))
+    assert trace.to_csv() == "\n".join(expected) + "\n"

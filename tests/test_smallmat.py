@@ -10,8 +10,8 @@ from kzsim.errors import DimensionMismatch, NoConvergence, NonHermitianInput
 from kzsim.model import ModelParams, triplet_block
 from kzsim.smallmat import hermitian_eig, unitary_step
 
-from oracles import (cardano_eigvals3, cardano_eigvec3, jacobi, random_hermitian,
-                     series_expm_minus_i)
+from oracles import (cardano_eigvals3, cardano_eigvec3, jacobi, lead_phases, lexsort_order,
+                     random_hermitian, series_expm_minus_i)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -208,6 +208,35 @@ def test_stack_bits_match_single_calls(stack, delta):
         assert u[i].tobytes() == unitary_step(h, delta).tobytes()
 
 
+def oracle_eig(stack):
+    """``np.linalg.eigh`` of the symmetrized stack, then the oracle order and phases."""
+    w, v = lexsort_order(*np.linalg.eigh((stack + np.swapaxes(stack.conj(), -1, -2)) / 2.0))
+    return w, lead_phases(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks())
+def test_order_and_phases_match_oracles(stack):
+    sd = hermitian_eig(stack)
+    w, v = oracle_eig(stack)
+    assert sd.eigenvalues.tobytes() == w.tobytes()
+    assert sd.eigenvectors.tobytes() == v.tobytes()
+
+
+def test_clustered_permutation_matches_oracles():
+    # the degenerate members of dimension 2 and 3, between matrices with no
+    # cluster: eigh's order inside their clusters is not the cluster rule's
+    rng = np.random.default_rng(11)
+    for dim in (2, 3):
+        stack = np.stack([random_hermitian(rng, dim), special_members(dim)[0], random_hermitian(rng, dim)])
+        w, v = np.linalg.eigh(stack)
+        assert not np.array_equal(lexsort_order(w, v)[1], v), dim  # a non-identity permutation
+        sd = hermitian_eig(stack)
+        ow, ov = oracle_eig(stack)
+        assert sd.eigenvalues.tobytes() == ow.tobytes()
+        assert sd.eigenvectors.tobytes() == ov.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_special_members_take_their_paths(dim):
     degenerate = special_members(dim)[0]
@@ -300,6 +329,8 @@ def test_refusals_keep_their_order():
                        (np.array([[0.0, complex(1.0, np.inf)], [np.inf, 0.0]]), "must be finite"),
                        (np.stack([np.eye(2), np.diag([np.nan, 1.0])]), "must be finite"),
                        (np.array([[1.7e308, 1.0], [0.0, 1.0]]), "exceeds"),
+                       # M - M^dag overflows to inf, with no RuntimeWarning
+                       (np.array([[0.0, 1e308], [-1e308, 0.0]]), "= inf exceeds"),
                        (np.diag([1.7e308, 1.0]), "overflows")):
         with pytest.raises(NonHermitianInput, match=message):
             hermitian_eig(m)
