@@ -432,13 +432,14 @@ def scan(cfg: SweepConfig) -> ScanTrace:
 
 def final_defect(cfg: SweepConfig) -> float:
     """``scan(cfg).final_defect``, bit for bit and with the same refusals, from
-    the same stream: only its last state is observed, as a stack of one."""
-    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
+    the same stream: only its last state is observed.  Boundary 0 (the start)
+    and the last boundary are solved as one stack of two."""
+    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
+    start = model._ground(cfg.bx, cfg.b0, ends.eigenvalues[0], ends.eigenvectors[0]).vector()
     state, advance, populations = start, _advance, _populations_pure
     if cfg.t2 is not None:
         state, populations = np.outer(start, start.conj()), _populations_mixed
         advance = _dephasing_advance(cfg)
     for state in _states(cfg, state, advance):
         pass
-    last = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([cfg.steps]))))
-    return float(_defect(populations(state[None], last.eigenvectors)[0, 0]))
+    return float(_defect(populations(state[None], ends.eigenvectors[1:])[0, 0]))

@@ -136,18 +136,22 @@ def fit_scaling(points) -> tuple[float, float]:
     """Least-squares estimate of the decay constant from (x, d_f) points.
 
     Fits ln d_f = c - alpha x; points with d_f below 1e-6 are dropped to
-    keep the logarithm well conditioned.  Returns (alpha_hat, |r|).
+    keep the logarithm well conditioned.  Returns (alpha_hat, |r|).  Kept
+    points that share one x, or one ln d_f, are refused: the mean of equal
+    values can round off them and leave a spurious nonzero spread.
     """
     kept = sorted((x, d) for x, d in points if d >= _FIT_EXCLUDE_BELOW)
     if len(kept) < 2:
         raise InvalidParam("need at least two usable points to fit")
     x = np.array([q[0] for q in kept])
     y = np.log(np.array([q[1] for q in kept]))
+    if (x == x[0]).all() or (y == y[0]).all():
+        raise InvalidParam("degenerate point set for the fit")
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
     syy = float(np.sum((y - ym) ** 2))
-    if sxx == 0.0 or syy == 0.0:
+    if sxx == 0.0 or syy == 0.0:  # distinct values whose squared spread underflows
         raise InvalidParam("degenerate point set for the fit")
     slope = sxy / sxx
     r = abs(sxy / math.sqrt(sxx * syy))
@@ -211,19 +215,20 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     n = evolve._substep_count(total)
     evolve._check_work(n, f"lz-check needs {evolve._count(n)} substeps")
     h = total / n
-    ends = [hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=z)))
-            for z in (z0, z0 + k * total)]
-    for sd in ends:  # levels within DEGENERACY_TOL are ordered by basis index, not energy
-        if not sd.gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(sd.eigenvalues)))):
-            raise InvalidParam(f"the levels at a window end are split by {sd.gap:.3g}, within"
+    fields = np.array([z0, z0 + k * total])
+    ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
+    # levels within DEGENERACY_TOL are ordered by basis index, not energy
+    for w, gap in zip(ends.eigenvalues, ends.gap):
+        if not gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w)))):
+            raise InvalidParam(f"the levels at a window end are split by {gap:.3g}, within"
                                f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
 
     def propagators(i):
         return unitary_step(model.effective_hamiltonian(
             ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h)), h)
 
-    psi = evolve._advance(ends[0].eigenvectors[:, 0], evolve._stacked(propagators, 0, n))
-    p_numeric = float(abs(np.vdot(ends[1].eigenvectors[:, 1], psi)) ** 2)
+    psi = evolve._advance(ends.eigenvectors[0, :, 0], evolve._stacked(propagators, 0, n))
+    p_numeric = float(abs(np.vdot(ends.eigenvectors[1, :, 1], psi)) ** 2)
     p_formula = math.exp(-2.0 * math.pi * bx * bx / k)
     return p_numeric, p_formula
 

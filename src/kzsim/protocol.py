@@ -147,29 +147,37 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
 
     A window of boundaries is remembered: the config's trotter twin without
-    t2 (all the overlap reads), the states at up to SUBSTEP_CHUNK boundaries
-    from some lo on and their triplet spectra, one stack each.  A call with
-    an equal twin (==) and j in the window reads its state; past the window
-    it resumes from the window's last state, before it from P(0)|00>, and
-    either way a new window starts at j.  Only boundary j's ground state is
-    checked and unprepared.  Results do not depend on call order.  A j that
-    is not an integer in 0..steps (a bool neither) raises IndexOutOfRange.
+    t2 (all the overlap reads; a config that is one is its own twin), the
+    states at up to SUBSTEP_CHUNK boundaries from some lo on and their
+    triplet spectra, one stack each.  A call with an equal twin (==) and j in
+    the window reads its state; past the window it resumes from the window's
+    last state, before it from P(0)|00>, and either way a new window starts
+    at j.  A window at 0 takes P(0)'s ground state from its own stack.  Only
+    boundary j's ground state is checked and unprepared.  Results do not
+    depend on call order.  A j that is not an integer in 0..steps (a bool
+    neither) raises IndexOutOfRange.
     """
     global _last
     if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
-    run, last = replace(cfg, backend="trotter", t2=None), _last  # one read of the tuple
+    run, last = cfg, _last  # one read of the tuple
+    if cfg.backend != "trotter" or cfg.t2 is not None:
+        run = replace(cfg, backend="trotter", t2=None)
     lo, states, sd = last[1:] if last[0] == run else (0, (), None)
     if not lo <= j < lo + len(states):
         if states and j > lo:
             i, psi = lo + len(states) - 1, states[-1]
-        else:
+        elif j > 0:
             i, psi = 0, _prep(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))[1] @ KET_00
-        psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
         lo, hi = j, min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)
+        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
+        if j == 0:
+            g0 = model._ground(cfg.bx, cfg.b0, sd.eigenvalues[0], sd.eigenvectors[0])
+            psi = _prep(g0)[1] @ KET_00
+        else:
+            psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
         segments = _segment_unitaries(run, j + 1, hi - 1)
         states = tuple(itertools.accumulate(segments, _advance, initial=psi))
-        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
         _last = (run, lo, states, sd)
     g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
     psi = _prep(g)[1].conj().T @ states[j - lo]
@@ -206,8 +214,9 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     when one of its numbers is not finite."""
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
-    a0 = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))
-    aj = prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.bz_end)))
+    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
+    a0, aj = (prep_angles(model._ground(cfg.bx, bz, ends.eigenvalues[i], ends.eigenvectors[i]))
+              for i, bz in enumerate((cfg.b0, cfg.bz_end)))
     segments = []
     for m in range(1, cfg.steps + 1):
         nu = cfg.field(m) * cfg.j_hz / 2.0

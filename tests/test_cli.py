@@ -120,6 +120,8 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
             (["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
              "tau_q/tau_0 = 4 bx^2/k overflows at bx=10000.0, k=1e-300"),
             (["lz-check", "--bx", "1e-11"], "within DEGENERACY_TOL of each other at bx=1e-11"),
+            # the mean of ten equal rates rounds off them: a nonzero spread
+            (["fit", "--k-grid", ",".join(["1"] * 10)], "degenerate point set for the fit"),
             (["schedule", "--delta-b", "0"], "delta_b must be positive and finite"),
             (["schedule", "--j-hz", "1e-310"],
              "schedule entry ('delay', inf) is not finite at J = 1e-310 Hz"),

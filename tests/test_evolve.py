@@ -15,7 +15,7 @@ from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
-from helpers import segment_unitary
+from helpers import segment_unitary, spectrum_fields
 from oracles import series_expm_minus_i
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
@@ -297,6 +297,16 @@ def test_final_defect_is_the_scans_last_defect(monkeypatch):
     for cfg in cfgs:
         expected = np.float64(scan(cfg).final_defect).tobytes()
         assert np.float64(evolve.final_defect(cfg)).tobytes() == expected, cfg
+
+
+def test_final_defect_solves_both_ends_as_one_stack(monkeypatch):
+    fields = spectrum_fields(monkeypatch)
+    for backend in evolve.BACKENDS:
+        for t2 in (None, kzm.T2_DEFAULT):
+            cfg = SweepConfig.from_rate(0.2, 1.0, backend=backend, t2=t2)
+            fields.clear()
+            evolve.final_defect(cfg)
+            assert fields == [[cfg.b0, cfg.bz_end]], cfg
 
 
 def test_final_defect_refuses_what_scan_refuses():

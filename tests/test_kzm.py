@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kzsim import evolve, kzm, model
+from kzsim import evolve, kzm
 from kzsim.errors import InvalidParam, UnknownFigure
 from kzsim.kzm import (KzmParams, ScalingFit, fit_scaling, freeze_out,
                        lz_check, predicted_defects, quench_time,
                        reproduce_figure, run_scaling_sweep, tau0)
 
+from helpers import spectrum_fields
 from oracles import freeze_out_bisection
 
 
@@ -121,6 +122,17 @@ def test_fit_scaling_excludes_tiny_defects():
         fit_scaling([(1.0, 1e-30), (2.0, 1e-30)])
 
 
+def test_fit_scaling_refuses_repeated_rates():
+    # points that share one x, or one ln d, at any count: the mean of equal
+    # values can round off them and leave a spread that is not zero
+    for n in range(2, 201):
+        for x, d in ((0.04, 0.7316), (0.08, 0.5), (0.16, 1.0 / 3.0)):
+            for pts in ([(x, d)] * n, [(x, d * (1 - i / (2 * n))) for i in range(n)],
+                        [(x * (1 + i), d) for i in range(n)]):
+                with pytest.raises(InvalidParam, match="degenerate point set"):
+                    fit_scaling(pts)
+
+
 def test_run_scaling_sweep_smoke():
     fit = run_scaling_sweep([0.1], [1.0, 0.5], backend="trotter")
     assert isinstance(fit, ScalingFit)
@@ -133,23 +145,16 @@ def test_run_scaling_sweep_smoke():
 
 
 def test_scaling_sweep_reads_only_the_last_boundary(monkeypatch):
-    calls, fields = [], []
-    spectrum = model.triplet_spectrum
-
-    def spy(p):
-        fields.append(np.atleast_1d(p.bz).tolist())
-        return spectrum(p)
-
-    monkeypatch.setattr(model, "triplet_spectrum", spy)
+    calls, fields = [], spectrum_fields(monkeypatch)
     for name in ("concurrence", "concurrence_mixed"):
         monkeypatch.setattr(evolve, name, lambda *args, name=name: calls.append(name))
     options = {"backend": "trotter", "t2": kzm.T2_DEFAULT}
     fit = run_scaling_sweep(kzm.EXPERIMENT_BX_VALUES, kzm.EXPERIMENT_K_VALUES, **options)
     assert fit.n_points == 8 and calls == []
-    # one field per call: each run's ground state at b0, and its last boundary
+    # one call per run, on two fields: its ground state at b0 and its last boundary
     cfgs = [evolve.SweepConfig.from_rate(bx, k, **options)
             for bx in kzm.EXPERIMENT_BX_VALUES for k in kzm.EXPERIMENT_K_VALUES]
-    assert sorted(fields) == sorted([[c.b0] for c in cfgs] + [[c.bz_end] for c in cfgs])
+    assert sorted(fields) == sorted([c.b0, c.bz_end] for c in cfgs)
 
 
 def test_lz_check_against_formula():
@@ -173,6 +178,18 @@ def test_lz_check_invalid():
         lz_check(0.1, 0.0)
     with pytest.raises(InvalidParam):
         lz_check(float("nan"), 1.0)
+
+
+def test_lz_check_solves_both_window_ends_as_one_stack(monkeypatch):
+    shapes, eig = [], kzm.hermitian_eig
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return eig(m)
+
+    monkeypatch.setattr(kzm, "hermitian_eig", spy)
+    lz_check(0.2, 0.25)
+    assert shapes == [(2, 2, 2)]
 
 
 def test_lz_check_chunking_keeps_bits(monkeypatch):

@@ -15,6 +15,7 @@ from kzsim.model import GroundState, KET_00, ModelParams, ground_state, ground_v
 from kzsim.protocol import (PrepAngles, gradient_crush, nmr_schedule,
                             prep_angles, prep_operator, protocol_overlap)
 
+from helpers import spectrum_fields
 from oracles import rx, ry, simulate_entries
 
 GOLDEN_SCHEDULE_J2 = """PULSE 1 x -0.112396383621
@@ -203,6 +204,22 @@ def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
         assert steps == stacks, (cfg.backend, j)
 
 
+def test_protocol_overlap_builds_the_twin_only_when_needed(monkeypatch):
+    # a trotter config without t2 keys the window itself, and a cold call at
+    # 0 solves one stack, whose member 0 also gives P(0)'s ground state; a
+    # reference or a T2 config builds an equal twin and reads that window
+    twin = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
+    fields = spectrum_fields(monkeypatch)
+    forget(monkeypatch)
+    expected = [np.float64(protocol_overlap(twin, j)).tobytes() for j in range(twin.steps + 1)]
+    window = protocol._last
+    assert window[0] is twin and fields == [twin.field(np.arange(twin.steps + 1)).tolist()]
+    for cfg in (replace(twin, backend="reference"), replace(twin, t2=(2.0, 0.2))):
+        got = [np.float64(protocol_overlap(cfg, j)).tobytes() for j in range(cfg.steps + 1)]
+        assert got == expected and protocol._last is window, cfg
+    assert len(fields) == 1
+
+
 def test_protocol_overlap_keys_by_equality(monkeypatch):
     # t2 as a list makes a config unhashable, and as an array makes == an
     # array; neither changes the overlap, and an equal copy reads the window
@@ -363,6 +380,13 @@ def test_schedule_examples():
     pulses = [e for e in s.entries() if e[0] == "pulse"]
     flips = {e[3] for e in pulses if e[2] == "x"} - {pulses[0][3], pulses[-1][3]}
     assert 0.02 in {round(f, 12) for f in flips}  # theta = 2 delta bx
+
+
+def test_schedule_solves_both_ends_as_one_stack(monkeypatch):
+    cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
+    fields = spectrum_fields(monkeypatch)
+    nmr_schedule(cfg)
+    assert fields == [[cfg.b0, cfg.bz_end]]
 
 
 def test_schedule_round_trip():
