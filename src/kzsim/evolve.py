@@ -247,33 +247,31 @@ def _work(cfg: SweepConfig) -> int | float:
     return cfg.steps * _substeps(cfg)
 
 
-def _stacked(build, start: int, stop: int):
-    """The propagators ``build(i)`` of the steps i = start..stop-1, one by
-    one in order, where ``build`` maps an index array to their stack;
-    built SUBSTEP_CHUNK at a time."""
-    for lo in range(start, stop, SUBSTEP_CHUNK):
-        yield from build(np.arange(lo, min(lo + SUBSTEP_CHUNK, stop)))
-
-
-def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None):
+def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None,
+                       hamiltonian=None):
     """Yield, for each segment m = first..last (1-based; all by default),
     its propagators in the order they act: the one trotter step, or the
-    reference backend's midpoint substeps."""
+    reference backend's midpoint substeps of ``hamiltonian`` (by default
+    ``model.driven_hamiltonian``, looked up at call time).  Segments are
+    lazy slices of one stream built SUBSTEP_CHUNK steps at a time, so each
+    must be used up before the next is taken."""
     last = cfg.steps if last is None else last
     nsub = _substeps(cfg)
     h = cfg.delta / nsub
+    hamiltonian = hamiltonian or model.driven_hamiltonian
 
-    def propagators(i):
+    def propagators(lo):
+        i = np.arange(lo, min(lo + SUBSTEP_CHUNK, last * nsub))
         if cfg.backend == "trotter":  # step i is segment i + 1
             return trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(i + 1)), cfg.delta)
         seg, sub = np.divmod(i, nsub)  # seg = m - 1
         t = seg * cfg.delta + (sub + 0.5) * h
-        return unitary_step(model.driven_hamiltonian(
-            ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t))), h)
+        return unitary_step(hamiltonian(ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t))), h)
 
-    steps = _stacked(propagators, (first - 1) * nsub, last * nsub)
+    chunks = range((first - 1) * nsub, last * nsub, SUBSTEP_CHUNK)
+    steps = itertools.chain.from_iterable(map(propagators, chunks))
     for _ in range(first, last + 1):
-        yield [next(steps) for _ in range(nsub)]
+        yield itertools.islice(steps, nsub)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from . import evolve, model
 from .errors import InvalidParam, UnknownFigure
 from .evolve import SweepConfig
 from .model import ModelParams
-from .smallmat import DEGENERACY_TOL, hermitian_eig, unitary_step
+from .smallmat import DEGENERACY_TOL, hermitian_eig
 
 # grid of scan rates for the smooth-model scaling fits; log-spaced and wider
 # than the experimental 1/4..1 window so the fit is not dominated by the
@@ -203,8 +203,9 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     linear-crossing formula exp(-2 pi bx^2 / k).
 
     The detuning bz + 1 runs from -10 sqrt(2) bx to +10 sqrt(2) bx at rate k,
-    integrated with midpoint substeps of at most 0.01 time units; more than
-    evolve.MAX_SUBSTEPS of them are refused, and so are window ends whose
+    integrated as one reference segment of ``model.effective_hamiltonian``
+    (midpoint substeps of at most 0.01 time units); more than
+    evolve.MAX_SUBSTEPS substeps are refused, and so are window ends whose
     levels are not split beyond smallmat.DEGENERACY_TOL.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
@@ -214,7 +215,6 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     total = 2.0 * half_window / k
     n = evolve._substep_count(total)
     evolve._check_work(n, f"lz-check needs {evolve._count(n)} substeps")
-    h = total / n
     fields = np.array([z0, z0 + k * total])
     ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
     # levels within DEGENERACY_TOL are ordered by basis index, not energy
@@ -222,12 +222,9 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
         if not gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w)))):
             raise InvalidParam(f"the levels at a window end are split by {gap:.3g}, within"
                                f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
-
-    def propagators(i):
-        return unitary_step(model.effective_hamiltonian(
-            ModelParams(bx=bx, bz=z0 + k * (i + 0.5) * h)), h)
-
-    psi = evolve._advance(ends.eigenvectors[0, :, 0], evolve._stacked(propagators, 0, n))
+    sweep = SweepConfig(bx, k, delta=total, steps=1, b0=z0)
+    segment = next(evolve._segment_unitaries(sweep, hamiltonian=model.effective_hamiltonian))
+    psi = evolve._advance(ends.eigenvectors[0, :, 0], segment)
     p_numeric = float(abs(np.vdot(ends.eigenvectors[1, :, 1], psi)) ** 2)
     p_formula = math.exp(-2.0 * math.pi * bx * bx / k)
     return p_numeric, p_formula

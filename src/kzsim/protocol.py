@@ -30,7 +30,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -165,19 +164,16 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
         run = replace(cfg, backend="trotter", t2=None)
     lo, states, sd = last[1:] if last[0] == run else (0, (), None)
     if not lo <= j < lo + len(states):
+        hi = min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)
+        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
         if states and j > lo:
             i, psi = lo + len(states) - 1, states[-1]
-        elif j > 0:
-            i, psi = 0, _prep(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))[1] @ KET_00
-        lo, hi = j, min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)
-        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
-        if j == 0:
-            g0 = model._ground(cfg.bx, cfg.b0, sd.eigenvalues[0], sd.eigenvectors[0])
-            psi = _prep(g0)[1] @ KET_00
         else:
-            psi = reduce(_advance, _segment_unitaries(run, i + 1, j), psi)
-        segments = _segment_unitaries(run, j + 1, hi - 1)
-        states = tuple(itertools.accumulate(segments, _advance, initial=psi))
+            g0 = (model._ground(cfg.bx, cfg.b0, sd.eigenvalues[0], sd.eigenvectors[0]) if j == 0
+                  else ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))
+            i, psi = 0, _prep(g0)[1] @ KET_00
+        states = itertools.accumulate(_segment_unitaries(run, i + 1, hi - 1), _advance, initial=psi)
+        lo, states = j, tuple(itertools.islice(states, j - i, None))
         _last = (run, lo, states, sd)
     g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
     psi = _prep(g)[1].conj().T @ states[j - lo]

@@ -263,6 +263,30 @@ def test_chunking_keeps_bits(monkeypatch):
     assert segment_unitary(cfg, 7).tobytes() == u7.tobytes()
 
 
+def test_segments_are_built_lazily(monkeypatch):
+    # the first propagator of a 40-substep segment needs one chunk of 7
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
+    sizes, step = [], evolve.unitary_step
+    monkeypatch.setattr(evolve, "unitary_step", lambda h, d: sizes.append(len(h)) or step(h, d))
+    next(iter(next(evolve._segment_unitaries(SweepConfig.from_rate(0.2, 0.25)))))
+    assert sizes == [7]
+
+
+def test_hamiltonian_builders_are_looked_up_at_call_time(monkeypatch):
+    # a builder bound when the stream is defined would escape these spies
+    fields = {}
+    for name in ("driven_hamiltonian", "effective_hamiltonian"):
+        def spy(p, name=name, build=getattr(model, name)):
+            fields[name] = fields.get(name, 0) + np.size(p.bz)
+            return build(p)
+        monkeypatch.setattr(model, name, spy)
+    scan(SweepConfig.from_rate(0.2, 0.25))  # 13 segments of 40 substeps
+    assert fields == {"driven_hamiltonian": 13 * 40}
+    fields.clear()
+    kzm.lz_check(0.2, 0.25)  # 2263 substeps and the two window ends
+    assert fields == {"effective_hamiltonian": 2263 + 2}
+
+
 def test_boundary_chunking_keeps_bits(monkeypatch):
     # 41 boundaries each; bx = 0 crosses degenerate levels at bz = -1, 0, 1
     dephased = (2.0, 0.2)

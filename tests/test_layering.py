@@ -1,7 +1,7 @@
 """Every public function and class of a ``kzsim`` layer module is used by the
-program: another line of ``src/kzsim`` (the package's re-exports aside), a
-benchmark script or the README names it.  A name that only tests call
-belongs under ``tests/``, as an oracle or a helper."""
+program: another line of ``src/kzsim``, a benchmark script or the README
+names it.  A name that only tests call belongs under ``tests/``, as an
+oracle or a helper."""
 import importlib
 import inspect
 import re
@@ -26,3 +26,11 @@ def test_public_names_are_used_outside_the_tests():
             if not any(used.search(line) and not definition.match(line) for line in lines):
                 unused.append(f"{module.__name__}.{name}")
     assert not unused
+
+
+def test_package_root_binds_only_its_version():
+    # the layers are imported as submodules; the root re-exports none of them
+    root = importlib.import_module("kzsim")
+    public = [name for name, obj in vars(root).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)]
+    assert public == [] and root.__version__

@@ -132,15 +132,8 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
     for bx, k, backend in itertools.product((0.1, 0.2), (1.0, 1 / 2, 1 / 3, 1 / 4),
                                             ("trotter", "reference")):
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend)
-        p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
-        psi = p0 @ KET_00
-        for j in range(cfg.steps + 1):
-            if j:
-                psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(j)), cfg.delta) @ psi
-            pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
-            out = pj.conj().T @ psi
-            rho = gradient_crush(np.outer(out, out.conj()))
-            assert protocol_overlap(cfg, j) == float(rho[0, 0].real), (bx, k, backend, j)
+        got = [protocol_overlap(cfg, j) for j in range(cfg.steps + 1)]
+        assert got == loop_overlaps(cfg), (bx, k, backend)
 
 
 def loop_overlaps(cfg):
@@ -191,14 +184,14 @@ def counted_trotter_steps(monkeypatch):
 def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
     # both run trotter steps, so the twin reads the window the reference
     # call filled, and the reference config the twin's; the first call
-    # reaches boundary 2 and fills the window 2..15, the last restarts
+    # streams 0..15 as one stack to keep the window 2..15, the last restarts
     ref = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
     twin = replace(ref, backend="trotter")
     expected = loop_overlaps(twin)
     steps = counted_trotter_steps(monkeypatch)
     forget(monkeypatch)
-    for cfg, j, stacks in ((ref, 2, [2, 13]), (ref, 6, []), (twin, 7, []), (twin, 11, []),
-                           (ref, 12, []), (ref, 15, []), (twin, 3, []), (twin, 1, [1, 14])):
+    for cfg, j, stacks in ((ref, 2, [15]), (ref, 6, []), (twin, 7, []), (twin, 11, []),
+                           (ref, 12, []), (ref, 15, []), (twin, 3, []), (twin, 1, [15])):
         steps.clear()
         assert protocol_overlap(cfg, j) == expected[j], (cfg.backend, j)
         assert steps == stacks, (cfg.backend, j)
@@ -299,12 +292,12 @@ def test_protocol_overlap_work_per_call_is_bounded(monkeypatch):
     protocol_overlap(cfg, 0)  # cold: the start's ground state and one window
     assert len(eig_sizes) <= 2 and max(eig_sizes) <= chunk and len(steps) <= 1
     assert max(steps) <= chunk - 1
-    # inside the window 0..chunk-1 nothing is built; past it, two steps from
-    # its last state reach chunk + 1 and one stack fills the next window; an
-    # index before that window restarts from the start's ground state
-    for j, eigs, stacks in ((1, [], []), (chunk + 1, [chunk], [2, chunk - 1]),
+    # inside the window 0..chunk-1 nothing is built; past it, one stream of
+    # chunk + 1 steps from its last state fills the next one; an index before
+    # it solves its window, then restarts from the start's ground state
+    for j, eigs, stacks in ((1, [], []), (chunk + 1, [chunk], [chunk, 1]),
                             (chunk + 2, [], []), (2 * chunk, [], []),
-                            (1, [1, chunk], [1, chunk - 1])):
+                            (1, [chunk, 1], [chunk])):
         eig_sizes.clear(), steps.clear()
         protocol_overlap(cfg, j)
         assert (eig_sizes, steps) == (eigs, stacks), j
