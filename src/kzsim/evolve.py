@@ -75,9 +75,10 @@ class SweepConfig:
     number of segments; the window runs from ``b0`` to ``bz_end`` =
     ``field(steps)``.  ``t2`` optionally holds the two transverse relaxation
     times in seconds, converted to per-segment decay using the coupling
-    ``j_hz`` in Hz.  A scan of more than MAX_SUBSTEPS propagator steps is
-    refused, and so is a trotter scan whose doubled phases per segment
-    (the pulse flip 2 delta bx, and 2 delta (1 +- 2 bz)) overflow.
+    ``j_hz`` in Hz.  A config that builds can run: refused are more than
+    MAX_SUBSTEPS propagator steps, trotter phases per segment that overflow
+    (the pulse flip 2 delta bx, and 2 delta (1 +- 2 bz)), a T2 pair that is
+    not two positive finite times and a scan time steps x delta that overflows.
     """
 
     bx: float
@@ -92,6 +93,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
             raise ConfigInconsistent(f"segment count must be an integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))  # numpy products wrap or warn
         if not abs(self.steps) < 2 ** 1023:
             raise ConfigInconsistent(f"segment count |steps| = {_count(abs(self.steps))} overflows a float")
         _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
@@ -110,6 +112,10 @@ class SweepConfig:
                     f" bx = {self.bx}, bz in [{self.b0}, {self.bz_end}]")
         _check_work(_work(self), f"scan needs {_count(_work(self))} propagator steps"
                                  f" ({_count(self.steps)} segments x {_count(_substeps(self))})")
+        if self.t2 is not None and not (len(self.t2) == 2 and all(0 < x < math.inf for x in self.t2)):
+            raise InvalidT2(f"T2 times must be positive and finite, got {self.t2}")
+        if not math.isfinite(self.steps * self.delta):
+            raise ConfigInconsistent(f"scan time t = {self.steps} x delta = {self.delta} overflows")
 
     @property
     def delta_b(self) -> float:
@@ -141,7 +147,9 @@ class SweepConfig:
         """Build a config from the field step delta_b; delta = delta_b / k."""
         _require(positive=True, k=k, delta_b=delta_b)
         _require(b0=b0, bz_end=bz_end)
-        segments = max(0.0, (bz_end - b0) / delta_b)
+        if not bz_end > b0:
+            raise ConfigInconsistent(f"scan window [{b0}, {bz_end}] is empty: bz_end must exceed b0")
+        segments = (bz_end - b0) / delta_b
         if segments == math.inf:
             raise WorkLimitExceeded(f"scan window [{b0}, {bz_end}] needs {segments}"
                                     f" segments of delta_b = {delta_b}")
@@ -171,9 +179,6 @@ class ScanTrace:
     concurrence: np.ndarray
 
     CSV_HEADER = "t,bz,defect,overlap,a0,a1,a2,concurrence"
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     @property
     def final_defect(self) -> float:
@@ -210,14 +215,6 @@ def trotter_step(p: ModelParams, delta: float) -> np.ndarray:
     return uz.reshape(*bz.shape, 4, 4) @ model._both("x", 2 * (delta * p.bx))
 
 
-def _substep_count(duration: float) -> int | float:
-    """Midpoint substeps of at most REFERENCE_SUBSTEP that cover
-    ``duration``: at least one, and inf when their count overflows a
-    float."""
-    n = duration / REFERENCE_SUBSTEP
-    return max(1, math.ceil(n)) if math.isfinite(n) else n
-
-
 def _count(n: int | float) -> str:
     """A work count as text: exact below 1e15, else to 4 significant
     digits (an int from a float's ceiling has no more)."""
@@ -237,9 +234,13 @@ def _check_work(work: int | float, needs: str) -> None:
 
 
 def _substeps(cfg: SweepConfig) -> int | float:
-    """Propagators per segment: the midpoint substeps of the reference
-    backend, or the one trotter step."""
-    return 1 if cfg.backend == "trotter" else _substep_count(cfg.delta)
+    """Propagators per segment: the one trotter step, or the reference
+    backend's midpoint substeps of at most REFERENCE_SUBSTEP that cover
+    delta (at least one, and inf when their count overflows a float)."""
+    if cfg.backend == "trotter":
+        return 1
+    n = cfg.delta / REFERENCE_SUBSTEP
+    return max(1, math.ceil(n)) if math.isfinite(n) else n
 
 
 def _work(cfg: SweepConfig) -> int | float:
@@ -345,8 +346,6 @@ def _dephasing_advance(cfg: SweepConfig):
 def _states(cfg: SweepConfig, state: np.ndarray, advance):
     """The boundary-state stream of a run, lazily and in order: ``state``,
     then ``advance(state, unitaries)`` across each segment."""
-    if not math.isfinite(cfg.steps * cfg.delta):
-        raise ConfigInconsistent(f"scan time t = {cfg.steps} x delta = {cfg.delta} overflows")
     return itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
 
 
@@ -394,8 +393,6 @@ def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
     """
     if cfg.t2 is None:
         raise InvalidT2("config carries no T2 times")
-    if len(cfg.t2) != 2 or any(x <= 0 or not math.isfinite(x) for x in cfg.t2):
-        raise InvalidT2(f"T2 times must be positive and finite, got {cfg.t2}")
     dt = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
     # one factor per qubit, exp(-dt/T2_i) where its bit flips; their Kronecker
     # product, as in model._both, follows the basis order |q1 q2>

@@ -204,25 +204,22 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
 
     The detuning bz + 1 runs from -10 sqrt(2) bx to +10 sqrt(2) bx at rate k,
     integrated as one reference segment of ``model.effective_hamiltonian``
-    (midpoint substeps of at most 0.01 time units); more than
-    evolve.MAX_SUBSTEPS substeps are refused, and so are window ends whose
-    levels are not split beyond smallmat.DEGENERACY_TOL.
+    (midpoint substeps of at most 0.01 time units).  Its SweepConfig refuses
+    it as it would any scan (more than evolve.MAX_SUBSTEPS substeps, among
+    others), and window ends whose levels are not split beyond
+    smallmat.DEGENERACY_TOL are refused.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
         raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
     half_window = 10.0 * math.sqrt(2) * bx
-    z0 = -1.0 - half_window
-    total = 2.0 * half_window / k
-    n = evolve._substep_count(total)
-    evolve._check_work(n, f"lz-check needs {evolve._count(n)} substeps")
-    fields = np.array([z0, z0 + k * total])
+    sweep = SweepConfig(bx, k, delta=2.0 * half_window / k, steps=1, b0=-1.0 - half_window)
+    fields = sweep.field(np.arange(2))
     ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
     # levels within DEGENERACY_TOL are ordered by basis index, not energy
     for w, gap in zip(ends.eigenvalues, ends.gap):
         if not gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w)))):
             raise InvalidParam(f"the levels at a window end are split by {gap:.3g}, within"
                                f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
-    sweep = SweepConfig(bx, k, delta=total, steps=1, b0=z0)
     segment = next(evolve._segment_unitaries(sweep, hamiltonian=model.effective_hamiltonian))
     psi = evolve._advance(ends.eigenvectors[0, :, 0], segment)
     p_numeric = float(abs(np.vdot(ends.eigenvectors[1, :, 1], psi)) ** 2)
@@ -251,26 +248,25 @@ def _fig_tau():
     return list(zip(bz.tolist(), model.relaxation_time(ModelParams(bx=0.1, bz=bz)).tolist()))
 
 
+def _scan_rows(runs, columns):
+    """Scan tables: for each (labels, config) of ``runs`` and each boundary
+    of its scan, the labels, then the named ScanTrace columns there."""
+    for labels, cfg in runs:
+        trace = evolve.scan(cfg)
+        yield from ((*labels, *row) for row in zip(*(getattr(trace, c) for c in columns)))
+
+
 def _fig_populations():
-    rows = []
-    for k in (1.0, 0.05):
-        trace = evolve.scan(SweepConfig.from_rate(0.1, k, b0=-2.0, bz_end=2.0))
-        for i in range(len(trace)):
-            rows.append((k, trace.t[i], trace.bz[i], trace.a0[i],
-                         trace.a1[i], trace.a2[i], trace.defect[i]))
-    return rows
+    runs = (((k,), SweepConfig.from_rate(0.1, k, b0=-2.0, bz_end=2.0)) for k in (1.0, 0.05))
+    return _scan_rows(runs, ("t", "bz", "a0", "a1", "a2", "defect"))
 
 
 def _fig_defect_curves():
-    rows = []
     variants = [(k, b, None, b) for k in EXPERIMENT_K_VALUES for b in ("reference", "trotter")]
     variants.append((0.25, "trotter", T2_DEFAULT, "trotter-t2"))
-    for bx in EXPERIMENT_BX_VALUES:
-        for k, backend, t2, label in variants:
-            trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend, t2=t2))
-            for i in range(len(trace)):
-                rows.append((bx, k, label, trace.t[i], trace.bz[i], trace.defect[i]))
-    return rows
+    runs = (((bx, k, label), SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend, t2=t2))
+            for bx in EXPERIMENT_BX_VALUES for k, backend, t2, label in variants)
+    return _scan_rows(runs, ("t", "bz", "defect"))
 
 
 def _fig_scaling_points():
@@ -283,13 +279,9 @@ def _fig_scaling_points():
 
 
 def _fig_concurrence():
-    rows = []
-    for bx in EXPERIMENT_BX_VALUES:
-        for k in (1.0, 0.1, 1.0 / 30.0):
-            trace = evolve.scan(SweepConfig.from_rate(bx, k, bz_end=1.5))
-            for i in range(len(trace)):
-                rows.append((bx, k, trace.bz[i], trace.concurrence[i], trace.defect[i]))
-    return rows
+    runs = (((bx, k), SweepConfig.from_rate(bx, k, bz_end=1.5))
+            for bx in EXPERIMENT_BX_VALUES for k in (1.0, 0.1, 1.0 / 30.0))
+    return _scan_rows(runs, ("bz", "concurrence", "defect"))
 
 
 _FIGURES = {

@@ -93,7 +93,6 @@ class GroundState:
     c0: float
     cplus: float
     c1: float
-    energy: float
 
     def vector(self) -> np.ndarray:
         """Embedding into the 4-dimensional computational basis."""
@@ -164,7 +163,7 @@ def _ground(bx: float, bz: float, w: np.ndarray, v: np.ndarray) -> GroundState:
     ref = vec[0] if abs(vec[0]) > _PHASE_TOL else next(x for x in vec[1:] if x != 0)
     vec = vec * (ref.conjugate() / abs(ref))
     c0, cplus, c1 = (float(x.real) for x in vec)
-    return GroundState(c0=c0, cplus=cplus, c1=c1, energy=float(w[0]))
+    return GroundState(c0=c0, cplus=cplus, c1=c1)
 
 
 def ground_vector(p: ModelParams) -> np.ndarray:

@@ -5,14 +5,14 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kzsim import evolve, kzm, model
-from kzsim.errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
+from kzsim import evolve, kzm, model, protocol
+from kzsim.errors import ConfigInconsistent, InvalidT2, KzsimError, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
                           concurrence_mixed, dephase_propagate, propagate,
                           ramp, scan, trotter_step)
-from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
+from kzsim.model import FIELD_LIMIT, KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
 from helpers import segment_unitary, spectrum_fields
@@ -59,12 +59,13 @@ def test_steps_must_be_an_integer_a_float_holds():
     for steps in (10**400, -10**400, 10**5000):
         with pytest.raises(ConfigInconsistent, match="overflows a float"):
             build(steps)
-    # python and numpy integers are both accepted, and run alike
-    numpy_steps = build(np.int64(13))
-    assert numpy_steps == build(13)
-    for name in ("t", "bz", "defect", "concurrence"):
-        assert getattr(scan(numpy_steps), name).tobytes() == getattr(scan(build(13)), name).tobytes()
-    assert evolve.final_defect(numpy_steps) == scan(build(13)).final_defect
+    # numpy integers are counted as python ints: no wrap, no warning
+    for steps, count in ((np.int64(9 * 10**17), "9.000e+17"), (np.uint64(2**63), "9.223e+18")):
+        with pytest.raises(WorkLimitExceeded) as refused:
+            build(steps)
+        assert f"needs {count} propagator steps ({count} segments x 1)" in str(refused.value)
+    # python and numpy integers are both accepted, and kept as the same python int
+    assert type(build(np.int64(13)).steps) is int and build(np.int64(13)) == build(13)
 
 
 def test_fields_and_trotter_phases_bounded():
@@ -333,18 +334,35 @@ def test_final_defect_solves_both_ends_as_one_stack(monkeypatch):
             assert fields == [[cfg.b0, cfg.bz_end]], cfg
 
 
-def test_final_defect_refuses_what_scan_refuses():
-    overflowing = SweepConfig.from_rate(0.1, 5e-309, backend="trotter")  # t = 13 x 2e307
-    refused = [overflowing, dataclasses.replace(overflowing, t2=(2.0, 0.2)),
-               dataclasses.replace(overflowing, t2=(-1.0, 0.2))]
-    refused += [SweepConfig.from_rate(0.1, 1.0, t2=t2) for t2 in ((0.0, 1.0), (1.0,), (math.inf, 1.0))]
-    for cfg in refused:
-        with pytest.raises(Exception) as by_scan:
-            scan(cfg)
-        with pytest.raises(type(by_scan.value)) as by_final:
-            evolve.final_defect(cfg)
-        assert str(by_final.value) == str(by_scan.value)
-        assert isinstance(by_scan.value, (ConfigInconsistent, InvalidT2))
+_REFUSALS = (ConfigInconsistent, InvalidT2, WorkLimitExceeded)
+_DECADES = st.floats(-3, 150).map(lambda e: 10.0 ** e)  # 1e-3 .. FIELD_LIMIT, decades alike
+_OVERFLOWING = dict(bx=0.1, k=5e-309, delta_b=0.1, steps=13, b0=-1.5)  # t = 13 x 2e307
+
+
+@settings(max_examples=40, deadline=None)
+@given(bx=st.one_of(st.just(0.0), _DECADES), k=st.floats(-310, 2).map(lambda e: 10.0 ** e),
+       delta_b=st.one_of(st.just(0.1), _DECADES), steps=st.integers(0, 40),
+       b0=st.one_of(st.floats(-2, 2), st.floats(-FIELD_LIMIT, FIELD_LIMIT)), backend=st.just("trotter"),
+       t2=st.one_of(st.none(), st.tuples(_DECADES, _DECADES), st.lists(st.floats(), max_size=3).map(tuple)))
+@example(**_OVERFLOWING, backend="trotter", t2=None)
+@example(**_OVERFLOWING, backend="trotter", t2=(2.0, 0.2))
+@example(**_OVERFLOWING, backend="trotter", t2=(-1.0, 0.2))
+@example(**{**_OVERFLOWING, "k": 1.0}, backend="reference", t2=(0.0, 1.0))
+@example(**{**_OVERFLOWING, "k": 1.0}, backend="reference", t2=(1.0,))
+@example(**{**_OVERFLOWING, "k": 1.0}, backend="reference", t2=(math.inf, 1.0))
+def test_a_config_that_builds_is_not_refused_by_its_consumers(bx, k, delta_b, steps, b0, t2, backend):
+    try:
+        cfg = SweepConfig(bx, k, delta=delta_b / k, steps=steps, b0=b0, backend=backend, t2=t2)
+    except _REFUSALS:
+        return
+    for consumer in (scan, evolve.final_defect, lambda c: protocol.protocol_overlap(c, c.steps),
+                     protocol.nmr_schedule):
+        try:
+            consumer(cfg)
+        except _REFUSALS as exc:  # only the schedule's own: a pulse number that is not finite
+            assert consumer is protocol.nmr_schedule and str(exc).startswith("schedule entry "), exc
+        except KzsimError:  # a refusal of a state, not of the config
+            pass
 
 
 def test_work_limit():
@@ -435,11 +453,13 @@ def test_dephasing_fully_mixed_input():
 
 def test_invalid_t2():
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    with pytest.raises(InvalidT2):
+    with pytest.raises(InvalidT2, match="config carries no T2 times"):
         dephase_propagate(cfg, np.eye(4, dtype=complex) / 4)
-    cfg_bad = SweepConfig.from_rate(0.1, 1.0, t2=(-1.0, 2.0))
-    with pytest.raises(InvalidT2):
-        dephase_propagate(cfg_bad, np.eye(4, dtype=complex) / 4)
+    # a bad pair is refused when the config is built, before an overflowing scan time
+    for t2, k in (((-1.0, 2.0), 1.0), ((0.0, 1.0), 1.0), ((1.0,), 1.0), ((math.inf, 1.0), 1.0),
+                  ((-1.0, 0.2), 5e-309)):
+        with pytest.raises(InvalidT2, match="T2 times must be positive and finite"):
+            SweepConfig.from_rate(0.1, k, backend="trotter", t2=t2)
 
 
 def test_concurrence_mixed_matches_pure():

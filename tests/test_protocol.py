@@ -49,14 +49,14 @@ def fidelity_to_ground(angles, g):
 
 
 def test_prep_angles_product_state():
-    g = GroundState(c0=1.0, cplus=0.0, c1=0.0, energy=0.0)
+    g = GroundState(c0=1.0, cplus=0.0, c1=0.0)
     a = prep_angles(g)
     assert a.alpha == pytest.approx(0.0)
     assert fidelity_to_ground(a, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prep_angles_bell_state():
-    g = GroundState(c0=0.0, cplus=1.0, c1=0.0, energy=-1.0)
+    g = GroundState(c0=0.0, cplus=1.0, c1=0.0)
     a = prep_angles(g)
     assert a.alpha == pytest.approx(math.pi / 2)
     # sin(beta + gamma) = -1 for the pure Bell target
@@ -97,7 +97,7 @@ def test_prep_angles_rejects_unreachable_input():
     # a unit vector with c0 + c1 > 1, since P keeps c0 + c1 = cos(alpha)
     for c0, cplus, c1 in ((0.5, 0.5, 0.0), (0.8, 0.0, 0.6)):
         with pytest.raises(NoValidBranch):
-            prep_angles(GroundState(c0=c0, cplus=cplus, c1=c1, energy=0.0))
+            prep_angles(GroundState(c0=c0, cplus=cplus, c1=c1))
 
 
 def test_prep_operator_zero_angles():
