@@ -5,7 +5,7 @@ fits, figure datasets, pulse schedules and the two-level crossing check.
 All computations are deterministic, outputs are written atomically (temp
 file plus rename) and floats are serialized at 12 significant digits, so
 identical invocations produce byte-identical files.  The argument parser is
-built once per process, on the first ``parse_args``, and reused: parsing
+built once per process, on the first ``parse_args``, and cached: parsing
 reads it and never changes it, so ``parse_args`` stays pure, its result a
 function of its argv alone, whatever was parsed before.
 
@@ -14,12 +14,12 @@ Exit codes: 0 success, 2 usage error, 3 validation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 
 from . import evolve, kzm, protocol
@@ -97,19 +97,12 @@ def _parse_k_values(text: str) -> tuple[float, ...]:
     return values
 
 
-# the one parser of the process; None until the first parse_args builds it
-_PARSER: _Parser | None = None
-_PARSER_LOCK = threading.Lock()
-
-
 def build_parser() -> _Parser:
-    global _PARSER
-    with _PARSER_LOCK:  # concurrent first calls build one parser, not one each
-        if _PARSER is None:
-            _PARSER = _new_parser()
-        return _PARSER
+    """The process's parser; a plain function, which the bench tracer wraps."""
+    return _new_parser()
 
 
+@functools.cache
 def _new_parser() -> _Parser:
     parser = _Parser(prog="kzsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -40,7 +40,7 @@ class ConfigInconsistent(_InvalidConfiguration):
     """Sweep configuration is out of range or describes no whole scan."""
 
 
-class InvalidT2(KzsimError):
+class InvalidT2(_InvalidConfiguration):
     """Dephasing requested with missing or non-positive T2 times."""
 
 

@@ -206,13 +206,17 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     integrated as one reference segment of ``model.effective_hamiltonian``
     (midpoint substeps of at most 0.01 time units).  Its SweepConfig refuses
     it as it would any scan (more than evolve.MAX_SUBSTEPS substeps, among
-    others), and window ends whose levels are not split beyond
-    smallmat.DEGENERACY_TOL are refused.
+    others), and so are a window whose duration overflows and window ends
+    whose levels are not split beyond smallmat.DEGENERACY_TOL.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
         raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
     half_window = 10.0 * math.sqrt(2) * bx
-    sweep = SweepConfig(bx, k, delta=2.0 * half_window / k, steps=1, b0=-1.0 - half_window)
+    duration = 2.0 * half_window / k
+    if not math.isfinite(duration):
+        raise InvalidParam(f"the crossing window lasts 20 sqrt(2) bx / k = {duration} time units"
+                           f" at bx={bx}, k={k}; use a larger k or a smaller bx")
+    sweep = SweepConfig(bx, k, delta=duration, steps=1, b0=-1.0 - half_window)
     fields = sweep.field(np.arange(2))
     ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
     # levels within DEGENERACY_TOL are ordered by basis index, not energy

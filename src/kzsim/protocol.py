@@ -26,6 +26,7 @@ exactly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -43,9 +44,6 @@ from .model import GroundState, KET_00, ModelParams, _both, ground_state
 Entry = tuple
 
 _FIDELITY_TOL = 1e-6
-# protocol_overlap's window, replaced whole: (twin, lo, the states at boundaries
-# lo.., the triplet spectra at the same boundaries)
-_last = (None,) * 4
 
 
 @dataclass(frozen=True)
@@ -145,40 +143,38 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     returns the |00> population.  The crush does not touch the diagonal, so
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
 
-    A window of boundaries is remembered: the config's trotter twin without
-    t2 (all the overlap reads; a config that is one is its own twin), the
-    states at up to SUBSTEP_CHUNK boundaries from some lo on and their
-    triplet spectra, one stack each.  A call with an equal twin (==) and j in
-    the window reads its state; past the window it resumes from the window's
-    last state, before it from P(0)|00>, and either way a new window starts
-    at j.  A window at 0 takes P(0)'s ground state from its own stack.  Only
-    boundary j's ground state is checked and unprepared.  Results do not
-    depend on call order.  A j that is not an integer in 0..steps (a bool
-    neither) raises IndexOutOfRange.
+    Boundary j is read from one cached ``_window`` of the SUBSTEP_CHUNK
+    boundaries that holds it, a pure function of that window and of the
+    config's trotter twin without t2 (all the overlap reads; a config that is
+    one is its own twin), so results do not depend on call order.  Only
+    boundary j's ground state is checked and unprepared.  A j that is not an
+    integer in 0..steps (a bool neither) raises IndexOutOfRange.
     """
-    global _last
     if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
-    run, last = cfg, _last  # one read of the tuple
+    j, run = int(j), cfg  # a narrow numpy integer would overflow j + SUBSTEP_CHUNK
     if cfg.backend != "trotter" or cfg.t2 is not None:
         run = replace(cfg, backend="trotter", t2=None)
-    lo, states, sd = last[1:] if last[0] == run else (0, (), None)
-    if not lo <= j < lo + len(states):
-        hi = min(j + evolve.SUBSTEP_CHUNK, cfg.steps + 1)
-        sd = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.arange(j, hi))))
-        if states and j > lo:
-            i, psi = lo + len(states) - 1, states[-1]
-        else:
-            g0 = (model._ground(cfg.bx, cfg.b0, sd.eigenvalues[0], sd.eigenvectors[0]) if j == 0
-                  else ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))
-            i, psi = 0, _prep(g0)[1] @ KET_00
-        states = itertools.accumulate(_segment_unitaries(run, i + 1, hi - 1), _advance, initial=psi)
-        lo, states = j, tuple(itertools.islice(states, j - i, None))
-        _last = (run, lo, states, sd)
+    lo = j - j % evolve.SUBSTEP_CHUNK
+    states, sd = _window(run, lo, min(lo + evolve.SUBSTEP_CHUNK, cfg.steps + 1))
     g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
     psi = _prep(g)[1].conj().T @ states[j - lo]
     rho = gradient_crush(np.outer(psi, psi.conj()))
     return float(rho[0, 0].real)
+
+
+@functools.lru_cache(maxsize=1)
+def _window(run: SweepConfig, lo: int, hi: int):
+    """The states of the trotter run ``run`` from P(0)|00> at boundaries
+    lo..hi-1, streamed from boundary 0, and their triplet spectra as one
+    stack, whose member 0 gives P(0)'s ground state when lo is 0.  Only the
+    last window is kept; configs are keyed by equality."""
+    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=run.field(np.arange(lo, hi))))
+    g0 = (model._ground(run.bx, run.b0, sd.eigenvalues[0], sd.eigenvectors[0]) if lo == 0
+          else ground_state(ModelParams(bx=run.bx, bz=run.b0)))
+    states = itertools.accumulate(_segment_unitaries(run, 1, hi - 1), _advance,
+                                  initial=_prep(g0)[1] @ KET_00)
+    return tuple(itertools.islice(states, lo, None)), sd
 
 
 def _prep_block(a: PrepAngles, j_hz: float) -> tuple[Entry, ...]:

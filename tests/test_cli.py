@@ -127,7 +127,11 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
              "schedule entry ('delay', inf) is not finite at J = 1e-310 Hz"),
             (["scan", "--k", "-1e-3"], "--k must be positive, got -0.001"),
             (["scan", "--bz-end", "-2"], "scan window [-1.5, -2.0] is empty"),
-            (["scan", "--bz-end", "-1.5"], "scan window [-1.5, -1.5] is empty")):
+            (["scan", "--bz-end", "-1.5"], "scan window [-1.5, -1.5] is empty"),
+            (["scan", "--t2", "0,1"], "T2 times must be positive and finite, got (0.0, 1.0)"),
+            (["lz-check", "--k", "1e-320"],
+             "the crossing window lasts 20 sqrt(2) bx / k = inf time units at bx=0.1, k=1e-320"),
+            (["lz-check", "--bx", "1e308"], "lasts 20 sqrt(2) bx / k = inf time units at bx=1e+308")):
         assert run(argv, tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: ") and cause in err, err
@@ -325,7 +329,7 @@ def _parsed(argv):
         return type(exc).__name__, str(exc)
 
 
-def test_parser_reuse_cannot_be_observed(monkeypatch, capsys):
+def test_parser_reuse_cannot_be_observed(capsys):
     def outcome(argv):
         try:
             return _parsed(argv)
@@ -335,9 +339,8 @@ def test_parser_reuse_cannot_be_observed(monkeypatch, capsys):
     mixed = [*REUSE, ["scan", "--print-config"], ["sweep", "--bx", "0.3", "--print-config"]]
     fresh = {}
     for argv in mixed:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._new_parser.cache_clear()
         fresh[tuple(argv)] = outcome(argv)
-    assert cli._PARSER is not None
     assert cli.build_parser() is cli.build_parser()
     order = list(mixed)
     for _ in range(2):
@@ -353,14 +356,14 @@ def test_append_does_not_accumulate():
         assert cli.parse_args(["sweep", "--bx", "0.1"]).params["bx_values"] == (0.1,)
 
 
-def test_concurrent_parses_match_sequential(monkeypatch):
+def test_concurrent_parses_match_sequential():
     sequential = [_parsed(argv) for argv in REUSE]
-    monkeypatch.setattr(cli, "_PARSER", None)  # the threads race to build it
+    cli._new_parser.cache_clear()  # the threads race to build it
     start = threading.Barrier(4)
 
     def job():
         start.wait(timeout=10)
-        return cli.build_parser(), [_parsed(argv) for argv in REUSE]
+        return [_parsed(argv) for argv in REUSE]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -369,15 +372,14 @@ def test_concurrent_parses_match_sequential(monkeypatch):
             results = [run.result(timeout=60) for run in [pool.submit(job) for _ in range(4)]]
     finally:
         sys.setswitchinterval(interval)
-    assert all(parser is cli._PARSER for parser, _ in results)
-    assert all(parsed == sequential for _, parsed in results)
+    assert all(parsed == sequential for parsed in results)
 
 
 def test_import_builds_no_parser():
     # in a fresh process: no parser at import, one on the first parse_args
     src = str(Path(cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import kzsim.cli as c;"
-            " assert c._PARSER is None; c.parse_args(['figure', 'fig3']);"
-            " assert c._PARSER is c.build_parser()")
+            " assert c._new_parser.cache_info().misses == 0; c.parse_args(['figure', 'fig3']);"
+            " assert c._new_parser.cache_info().misses == 1")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

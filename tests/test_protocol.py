@@ -150,11 +150,6 @@ def loop_overlaps(cfg):
     return out
 
 
-def forget(monkeypatch):
-    """Make the next protocol_overlap call a cold one."""
-    monkeypatch.setattr(protocol, "_last", (None,) * len(protocol._last))
-
-
 def test_protocol_overlap_is_independent_of_call_order(monkeypatch):
     # a chunk of 4 makes the remembered spectra run out every few boundaries
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
@@ -184,14 +179,13 @@ def counted_trotter_steps(monkeypatch):
 def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
     # both run trotter steps, so the twin reads the window the reference
     # call filled, and the reference config the twin's; the first call
-    # streams 0..15 as one stack to keep the window 2..15, the last restarts
+    # streams segments 1..15 as one stack to fill the window 0..15
     ref = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
     twin = replace(ref, backend="trotter")
     expected = loop_overlaps(twin)
     steps = counted_trotter_steps(monkeypatch)
-    forget(monkeypatch)
     for cfg, j, stacks in ((ref, 2, [15]), (ref, 6, []), (twin, 7, []), (twin, 11, []),
-                           (ref, 12, []), (ref, 15, []), (twin, 3, []), (twin, 1, [15])):
+                           (ref, 12, []), (ref, 15, []), (twin, 3, []), (twin, 1, [])):
         steps.clear()
         assert protocol_overlap(cfg, j) == expected[j], (cfg.backend, j)
         assert steps == stacks, (cfg.backend, j)
@@ -203,14 +197,12 @@ def test_protocol_overlap_builds_the_twin_only_when_needed(monkeypatch):
     # reference or a T2 config builds an equal twin and reads that window
     twin = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     fields = spectrum_fields(monkeypatch)
-    forget(monkeypatch)
     expected = [np.float64(protocol_overlap(twin, j)).tobytes() for j in range(twin.steps + 1)]
-    window = protocol._last
-    assert window[0] is twin and fields == [twin.field(np.arange(twin.steps + 1)).tolist()]
+    assert fields == [twin.field(np.arange(twin.steps + 1)).tolist()]
     for cfg in (replace(twin, backend="reference"), replace(twin, t2=(2.0, 0.2))):
         got = [np.float64(protocol_overlap(cfg, j)).tobytes() for j in range(cfg.steps + 1)]
-        assert got == expected and protocol._last is window, cfg
-    assert len(fields) == 1
+        assert got == expected, cfg
+    assert len(fields) == 1 and protocol._window.cache_info().misses == 1
 
 
 def test_protocol_overlap_keys_by_equality(monkeypatch):
@@ -261,12 +253,12 @@ def test_protocol_overlap_threads_give_the_serial_values(monkeypatch):
         assert results[n] == expected[n % 2] * 40, n
 
 
-def test_protocol_overlap_checks_only_the_boundary_it_reads(monkeypatch):
+def test_protocol_overlap_checks_only_the_boundary_it_reads():
     # at bx = 0 the ground state is degenerate at bz = -1, boundary 5; the
-    # spectra read ahead from boundary 3 include it
+    # window's spectra, solved for boundary 3, include it
     cfg = SweepConfig.from_rate(0.0, 1.0, bz_end=0.0, backend="trotter")
     for order in ((3, 5), (5, 3)):
-        forget(monkeypatch)
+        protocol._window.cache_clear()
         for j in order:
             if j == 5:
                 with pytest.raises(DegenerateGround, match="bz=-1.0"):
@@ -275,32 +267,31 @@ def test_protocol_overlap_checks_only_the_boundary_it_reads(monkeypatch):
                 assert protocol_overlap(cfg, j) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_protocol_overlap_work_per_call_is_bounded(monkeypatch):
-    cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=-0.5, delta_b=1e-5, backend="trotter")
-    assert cfg.steps == 100_000
-    eig_sizes = []
-    real_eig = model.hermitian_eig
+def test_protocol_overlap_reads_one_aligned_window(monkeypatch):
+    # a miss at j solves the spectra of the aligned window lo..hi-1 that holds
+    # j as one stack (then P(0)'s ground state, when lo > 0) and streams
+    # segments 1..hi-1; a hit builds nothing
+    monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
+    cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
+    eig_sizes, segment_fields = [], []
+    real_eig, real_step = model.hermitian_eig, evolve.trotter_step
 
-    def counted_eig(m):
+    def eig(m):
         eig_sizes.append(len(np.reshape(m, (-1, 3, 3))))
         return real_eig(m)
 
-    monkeypatch.setattr(model, "hermitian_eig", counted_eig)
-    steps = counted_trotter_steps(monkeypatch)
-    forget(monkeypatch)
-    chunk = evolve.SUBSTEP_CHUNK
-    protocol_overlap(cfg, 0)  # cold: the start's ground state and one window
-    assert len(eig_sizes) <= 2 and max(eig_sizes) <= chunk and len(steps) <= 1
-    assert max(steps) <= chunk - 1
-    # inside the window 0..chunk-1 nothing is built; past it, one stream of
-    # chunk + 1 steps from its last state fills the next one; an index before
-    # it solves its window, then restarts from the start's ground state
-    for j, eigs, stacks in ((1, [], []), (chunk + 1, [chunk], [chunk, 1]),
-                            (chunk + 2, [], []), (2 * chunk, [], []),
-                            (1, [chunk, 1], [chunk])):
-        eig_sizes.clear(), steps.clear()
+    def step(p, delta):
+        segment_fields.extend(np.atleast_1d(p.bz).tolist())
+        return real_step(p, delta)
+
+    monkeypatch.setattr(model, "hermitian_eig", eig)
+    monkeypatch.setattr(evolve, "trotter_step", step)
+    # (j, the stack sizes solved, hi: segments 1..hi-1 streamed, none for hi = 1)
+    for j, eigs, hi in ((0, [4], 4), (3, [], 1), (5, [4, 1], 8), (7, [], 1), (2, [4], 4),
+                        (15, [4, 1], 16), (13, [], 1)):
+        eig_sizes.clear(), segment_fields.clear()
         protocol_overlap(cfg, j)
-        assert (eig_sizes, steps) == (eigs, stacks), j
+        assert eig_sizes == eigs and segment_fields == cfg.field(np.arange(1, hi)).tolist(), j
 
 
 def test_protocol_overlap_at_start():
@@ -337,8 +328,11 @@ def test_protocol_overlap_index_errors():
     for j in (3.0, True, False, np.bool_(True), "3", None, np.float64(2.0)):
         with pytest.raises(IndexOutOfRange):
             protocol_overlap(cfg, j)
-    for j in (2, np.int64(2), np.int32(2), np.uint8(2)):
-        assert protocol_overlap(cfg, j) == protocol_overlap(cfg, 2)
+    # each on a cold window, where j + SUBSTEP_CHUNK overflowed an 8-bit index
+    expected = protocol_overlap(cfg, 2)
+    for j in (np.int8(2), np.uint8(2), np.int16(2), np.uint16(2), np.int32(2), np.int64(2)):
+        protocol._window.cache_clear()
+        assert protocol_overlap(cfg, j) == expected, type(j)
 
 
 def test_gradient_crush():
