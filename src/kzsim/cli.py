@@ -7,7 +7,8 @@ file plus rename) and floats are serialized at 12 significant digits, so
 identical invocations produce byte-identical files.  The argument parser is
 built once per process, on the first ``parse_args``, and cached: parsing
 reads it and never changes it, so ``parse_args`` stays pure, its result a
-function of its argv alone, whatever was parsed before.
+function of its argv alone, whatever was parsed before.  It refuses only
+text it cannot read: every range is refused by the layer that owns it.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 I/O error.
 """
@@ -40,7 +41,7 @@ _FLAGS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI invocation."""
+    """Parsed description of one CLI invocation."""
 
     command: str
     params: dict
@@ -55,9 +56,9 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # take any negative float literal (-1e9, -.5) as a value, not as an
-        # option; _negative_number_matcher is a private argparse attribute
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # a token that starts like a negative number (-1e9, -.5, -1,1) is a value,
+        # not an option; _negative_number_matcher is a private argparse attribute
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):  # noqa: D401 - argparse hook
         raise UsageError(message)
@@ -69,16 +70,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_t2(text: str | None) -> tuple[float, float] | None:
+def _floats(flag: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse {flag} {text!r}: {exc}") from None
+
+
+def _parse_t2(text: str | None) -> tuple[float, ...] | None:
     if text is None or text.lower() == "none":
         return None
-    try:
-        parts = [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse --t2 {text!r}: {exc}") from None
-    if len(parts) != 2:
-        raise ValidationError("--t2 expects two comma-separated seconds, e.g. 2,0.2")
-    return (parts[0], parts[1])
+    return _floats("--t2", text)
 
 
 def _parse_k_values(text: str) -> tuple[float, ...]:
@@ -86,15 +88,7 @@ def _parse_k_values(text: str) -> tuple[float, ...]:
         return kzm.IDEAL_K_VALUES
     if text == "experiment":
         return kzm.EXPERIMENT_K_VALUES
-    try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse --k-grid {text!r}: {exc}") from None
-    if not values:
-        raise ValidationError("--k-grid must name at least one rate")
-    if any(k <= 0 for k in values):
-        raise ValidationError("scan rates must be positive")
-    return values
+    return _floats("--k-grid", text)
 
 
 def build_parser() -> _Parser:
@@ -146,19 +140,10 @@ def parse_args(argv) -> RunConfig:
     # every dest but these three is a parameter of the command
     params = vars(build_parser().parse_args(argv))
     command, out, print_config = (params.pop(key) for key in ("command", "out", "print_config"))
-    if command in ("scan", "schedule", "lz-check"):
-        if params["k"] <= 0:
-            raise ValidationError(f"--k must be positive, got {params['k']}")
-        if params["bx"] < 0:
-            raise ValidationError(f"--bx must be >= 0, got {params['bx']}")
     if command in ("sweep", "fit"):
         params["bx_values"] = tuple(params["bx_values"] or (_FLAGS["--bx"]["default"],))
-        if any(b <= 0 for b in params["bx_values"]):
-            raise ValidationError("--bx values must be positive for scaling sweeps")
     elif command == "figure" and out is None:
         out = f"{params['figure_id']}.csv"
-    elif command == "schedule" and params["j"] < 0:
-        raise ValidationError(f"--j must be >= 0, got {params['j']}")
     for key, parse in (("k_values", _parse_k_values), ("t2", _parse_t2)):
         if key in params:
             params[key] = parse(params[key])
@@ -193,7 +178,7 @@ def _rows_to_csv(note: str, header, rows) -> str:
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run one validated command and write its artifact."""
+    """Run one parsed command and write its artifact; its layers refuse bad values."""
     if cfg.command == "scan":
         trace = evolve.scan(evolve.SweepConfig.from_rate(**cfg.params))
         _atomic_write(cfg.out, trace.to_csv())
@@ -218,7 +203,8 @@ def execute(cfg: RunConfig) -> int:
             f"{data.figure_id}: {data.note}", data.header, data.rows))
     elif cfg.command == "schedule":
         p = cfg.params
-        evolve._require(positive=True, delta_b=p["delta_b"])  # the flag, not delta, is named
+        # name the flags, not delta, and refuse before delta_b / k
+        evolve._require(positive=True, k=p["k"], delta_b=p["delta_b"])
         sched = protocol.nmr_schedule(evolve.SweepConfig(
             p["bx"], p["k"], delta=p["delta_b"] / p["k"], steps=p["j"], b0=p["b0"],
             backend="trotter", j_hz=p["j_hz"]))

@@ -113,7 +113,7 @@ class SweepConfig:
         _check_work(_work(self), f"scan needs {_count(_work(self))} propagator steps"
                                  f" ({_count(self.steps)} segments x {_count(_substeps(self))})")
         if self.t2 is not None and not (len(self.t2) == 2 and all(0 < x < math.inf for x in self.t2)):
-            raise InvalidT2(f"T2 times must be positive and finite, got {self.t2}")
+            raise InvalidT2(f"T2 must be two positive finite times, got {self.t2}")
         if not math.isfinite(self.steps * self.delta):
             raise ConfigInconsistent(f"scan time t = {self.steps} x delta = {self.delta} overflows")
 

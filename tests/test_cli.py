@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kzsim import cli, evolve
+from kzsim import cli, evolve, protocol
 from kzsim.errors import UsageError, ValidationError
 
 HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "5e-309", "1e308", "1e200", "-1e9", "", "x",
-           "1,2,3")
+           "1,2,3", "-1,1")
 # a few valid values, so that draws also reach the trotter and T2 paths
 ORDINARY = ("0.5", "trotter", "2,0.2")
 _MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
@@ -57,6 +57,17 @@ def run(args, tmp_path, monkeypatch):
     return cli.main(args)
 
 
+def _no_propagator(*args, **kwargs):
+    raise AssertionError("a refused argv built a propagator")
+
+
+def refuse_propagators(monkeypatch):
+    """Fail at the first propagator: a refusal comes before any, so a lost
+    one fails here in milliseconds instead of running a huge scan."""
+    for module in (evolve, protocol):
+        monkeypatch.setattr(module, "_segment_unitaries", _no_propagator)
+
+
 def test_parse_defaults():
     cfg = cli.parse_args(["scan", "--bx", "0.1", "--k", "1"])
     assert cfg.command == "scan"
@@ -75,11 +86,6 @@ def test_parse_figure_dispatch():
     assert cfg.out == "fig3.csv"
 
 
-def test_parse_rejects_zero_rate():
-    with pytest.raises(ValidationError):
-        cli.parse_args(["scan", "--k", "0"])
-
-
 def test_parse_rejects_unknown_flag():
     with pytest.raises(UsageError):
         cli.parse_args(["scan", "--frequency", "3"])
@@ -87,52 +93,62 @@ def test_parse_rejects_unknown_flag():
 
 def test_exit_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["scan", "--k", "0"]) == 3
     assert cli.main(["nonsense"]) == 2
     assert cli.main(["scan", "--nope"]) == 2
-    for argv in (["scan", "--delta-b", "0"], ["schedule", "--delta-b", "0"],
-                 ["scan", "--delta-b", "nan"], ["scan", "--b0", "nan"],
-                 ["scan", "--j-hz", "nan", "--t2", "2,0.2"],
-                 ["scan", "--k", "1e-6"], ["scan", "--bz-end", "1e6"],
-                 ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"],
-                 ["scan", "--delta-b", "1e-320"], ["lz-check", "--k", "1e-320"],
-                 ["scan", "--b0", "1e308"], ["scan", "--bz-end", "1e308", "--delta-b", "1e308"],
-                 ["scan", "--backend", "trotter", "--k", "1e-300", "--bx", "1e10"],
-                 ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10"],
-                 ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10", "--t2", "2,0.2"],
-                 ["scan", "--bx", "1e308"], ["scan", "--bx", "1e200"], ["schedule", "--bx", "1e308"],
-                 ["lz-check", "--bx", "1e200", "--k", "1e300"],
-                 ["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
-                 ["lz-check", "--bx", "1e-11"], ["lz-check", "--bx", "1e-320"],
-                 ["schedule", "--bx", "1e150", "--k", "1e-159", "--j", "1"],
-                 ["schedule", "--b0", "0", "--k", "1e-310", "--delta-b", "0.01", "--j", "2"],
-                 ["schedule", "--j-hz", "1e-310"], ["schedule", "--j-hz", "2.5e-308"],
-                 ["schedule", "--j-hz", "1e308", "--b0", "1e10", "--j", "1"],
-                 ["scan", "--b0", "-1e9"], ["scan", "--k", "-1e-3"],
-                 ["scan", "--backend", "trotter", "--b0=-1e9", "--bz-end=-999999999.65"]):
-        assert cli.main(argv) == 3, argv
+    with monkeypatch.context() as refused:
+        refuse_propagators(refused)
+        for argv in (["scan", "--k", "0"], ["scan", "--delta-b", "0"], ["schedule", "--delta-b", "0"],
+                     ["scan", "--delta-b", "nan"], ["scan", "--b0", "nan"],
+                     ["scan", "--j-hz", "nan", "--t2", "2,0.2"],
+                     ["scan", "--k", "1e-6"], ["scan", "--bz-end", "1e6"],
+                     ["lz-check", "--k", "1e-6"], ["lz-check", "--bx", "nan"],
+                     ["scan", "--delta-b", "1e-320"], ["lz-check", "--k", "1e-320"],
+                     ["scan", "--b0", "1e308"], ["scan", "--bz-end", "1e308", "--delta-b", "1e308"],
+                     ["scan", "--backend", "trotter", "--k", "1e-300", "--bx", "1e10"],
+                     ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10"],
+                     ["sweep", "--k-grid", "1e-300", "--backend", "trotter", "--bx", "1e10", "--t2", "2,0.2"],
+                     ["scan", "--bx", "1e308"], ["scan", "--bx", "1e200"], ["schedule", "--bx", "1e308"],
+                     ["lz-check", "--bx", "1e200", "--k", "1e300"],
+                     ["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
+                     ["lz-check", "--bx", "1e-11"], ["lz-check", "--bx", "1e-320"],
+                     ["schedule", "--bx", "1e150", "--k", "1e-159", "--j", "1"],
+                     ["schedule", "--b0", "0", "--k", "1e-310", "--delta-b", "0.01", "--j", "2"],
+                     ["schedule", "--j-hz", "1e-310"], ["schedule", "--j-hz", "2.5e-308"],
+                     ["schedule", "--j-hz", "1e308", "--b0", "1e10", "--j", "1"],
+                     ["scan", "--b0", "-1e9"], ["scan", "--k", "-1e-3"],
+                     ["scan", "--backend", "trotter", "--b0=-1e9", "--bz-end=-999999999.65"]):
+            assert cli.main(argv) == 3, argv
     assert not list(tmp_path.iterdir())
     assert cli.main(["lz-check", "--bx", "1e-10"]) == 0
 
 
 def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
+    # fit_scaling can judge a point set only once its scans have run, so the
+    # ten-equal-rates row alone may build propagators
+    ten_equal_rates = ["fit", "--k-grid", ",".join(["1"] * 10)]
     for argv, cause in (
             (["fit", "--backend", "trotter", "--bx", "1e4", "--k-grid", "1e-300,1e-299"],
              "tau_q/tau_0 = 4 bx^2/k overflows at bx=10000.0, k=1e-300"),
             (["lz-check", "--bx", "1e-11"], "within DEGENERACY_TOL of each other at bx=1e-11"),
             # the mean of ten equal rates rounds off them: a nonzero spread
-            (["fit", "--k-grid", ",".join(["1"] * 10)], "degenerate point set for the fit"),
+            (ten_equal_rates, "degenerate point set for the fit"),
             (["schedule", "--delta-b", "0"], "delta_b must be positive and finite"),
             (["schedule", "--j-hz", "1e-310"],
              "schedule entry ('delay', inf) is not finite at J = 1e-310 Hz"),
-            (["scan", "--k", "-1e-3"], "--k must be positive, got -0.001"),
+            (["scan", "--k", "-1e-3"], "k must be positive and finite, got -0.001"),
+            (["schedule", "--k", "0"], "k must be positive and finite, got 0.0"),
+            (["schedule", "--k", "nan"], "k must be positive and finite, got nan"),
+            (["fit", "--k-grid", "-1,1"], "k must be positive and finite, got -1.0"),
             (["scan", "--bz-end", "-2"], "scan window [-1.5, -2.0] is empty"),
             (["scan", "--bz-end", "-1.5"], "scan window [-1.5, -1.5] is empty"),
-            (["scan", "--t2", "0,1"], "T2 times must be positive and finite, got (0.0, 1.0)"),
+            (["scan", "--t2", "0,1"], "T2 must be two positive finite times, got (0.0, 1.0)"),
             (["lz-check", "--k", "1e-320"],
              "the crossing window lasts 20 sqrt(2) bx / k = inf time units at bx=0.1, k=1e-320"),
             (["lz-check", "--bx", "1e308"], "lasts 20 sqrt(2) bx / k = inf time units at bx=1e+308")):
-        assert run(argv, tmp_path, monkeypatch) == 3
+        with monkeypatch.context() as refused:
+            if argv != ten_equal_rates:
+                refuse_propagators(refused)
+            assert run(argv, tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: ") and cause in err, err
     assert not list(tmp_path.iterdir())
@@ -310,6 +326,10 @@ def test_print_config(capsys):
         cli.parse_args(["scan", "--print-config"])
     out = capsys.readouterr().out
     assert json.loads(out)["command"] == "scan"
+    # it echoes the parsed invocation and runs no layer's check
+    for flag, key in (("--delta-b", "delta_b"), ("--k", "k")):
+        assert cli.main(["scan", flag, "0", "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"][key] == 0.0
 
 
 # valid argv, usage errors and validation errors, for the parser-reuse tests
@@ -346,7 +366,7 @@ def test_parser_reuse_cannot_be_observed(capsys):
     for _ in range(2):
         order.reverse()
         assert {tuple(argv): outcome(argv) for argv in order} == fresh
-    assert sum(isinstance(v, str) for v in fresh.values()) == 7
+    assert sum(isinstance(v, str) for v in fresh.values()) == 11
     assert {v[0] for v in fresh.values() if isinstance(v, tuple)} == {
         "UsageError", "ValidationError", 0}
 

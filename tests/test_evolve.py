@@ -86,6 +86,10 @@ def test_fields_and_trotter_phases_bounded():
     # the pulse flip 2 delta bx overflows where delta bx does not
     with pytest.raises(ConfigInconsistent, match="trotter phase"):
         SweepConfig(1e150, 1e-158, delta=1e158, steps=1, backend="trotter")
+    # and 2 delta (2 |b0| + 1), 2 delta (2 |bz_end| + 1) alone, at small fields
+    for b0 in (-0.5, 0.0):
+        with pytest.raises(ConfigInconsistent, match="trotter phase"):
+            SweepConfig(0.0, 0.5 / 6e307, delta=6e307, steps=1, b0=b0, backend="trotter")
 
 
 def test_trotter_step_exact_when_field_off():
@@ -458,7 +462,7 @@ def test_invalid_t2():
     # a bad pair is refused when the config is built, before an overflowing scan time
     for t2, k in (((-1.0, 2.0), 1.0), ((0.0, 1.0), 1.0), ((1.0,), 1.0), ((math.inf, 1.0), 1.0),
                   ((-1.0, 0.2), 5e-309)):
-        with pytest.raises(InvalidT2, match="T2 times must be positive and finite"):
+        with pytest.raises(InvalidT2, match="T2 must be two positive finite times"):
             SweepConfig.from_rate(0.1, k, backend="trotter", t2=t2)
 
 

@@ -77,6 +77,8 @@ def test_degenerate_ordering_by_basis_index():
     assert np.allclose(sd.eigenvalues, [1.0, 1.0, 2.0])
     assert int(np.argmax(np.abs(sd.eigenvectors[:, 0]))) == 1
     assert int(np.argmax(np.abs(sd.eigenvectors[:, 1]))) == 2
+    # the cluster tolerance scales with the spectrum: at 1e3 a split of 1e-7 is a cluster
+    assert hermitian_eig(np.diag([1e3 + 1e-7, 1e3])).eigenvalues.tolist() == [1e3 + 1e-7, 1e3]
     # in a rotated basis, where the plain sort gives another order
     for dim in (2, 3, 4):
         degenerate = special_members(dim)[0]
