@@ -25,9 +25,11 @@ Transverse relaxation is modelled as a per-qubit phase damping channel
 applied after each segment, with decay exp(-dt/T2) over the physical
 segment duration dt = 2*delta/(pi*J).
 
-``scan`` starts a run in the ground state at b0 and evolves it as a pure
-state, or as a dephased density matrix when T2 times are configured;
-``final_defect`` observes only the same run's last boundary, for the fits.
+Every run entry takes only a config and starts in the ground state at b0:
+``scan`` runs a pure state (``propagate``), or a dephased density matrix
+when T2 times are configured (``dephase_propagate``); ``final_defect``
+observes only the same run's last boundary, for the fits.  A shorter run,
+such as the protocol's overlap window, is the config with fewer steps.
 """
 from __future__ import annotations
 
@@ -248,30 +250,28 @@ def _work(cfg: SweepConfig) -> int | float:
     return cfg.steps * _substeps(cfg)
 
 
-def _segment_unitaries(cfg: SweepConfig, first: int = 1, last: int | None = None,
-                       hamiltonian=None):
-    """Yield, for each segment m = first..last (1-based; all by default),
-    its propagators in the order they act: the one trotter step, or the
-    reference backend's midpoint substeps of ``hamiltonian`` (by default
-    ``model.driven_hamiltonian``, looked up at call time).  Segments are
-    lazy slices of one stream built SUBSTEP_CHUNK steps at a time, so each
-    must be used up before the next is taken."""
-    last = cfg.steps if last is None else last
+def _segment_unitaries(cfg: SweepConfig, hamiltonian=None):
+    """Yield, for each segment m = 1..steps, its propagators in the order
+    they act: the one trotter step, or the reference backend's midpoint
+    substeps of ``hamiltonian`` (by default ``model.driven_hamiltonian``,
+    looked up at call time).  Segments are lazy slices of one stream built
+    SUBSTEP_CHUNK steps at a time, so each must be used up before the next
+    is taken; a shorter stream is the config with fewer steps."""
     nsub = _substeps(cfg)
     h = cfg.delta / nsub
     hamiltonian = hamiltonian or model.driven_hamiltonian
 
     def propagators(lo):
-        i = np.arange(lo, min(lo + SUBSTEP_CHUNK, last * nsub))
+        i = np.arange(lo, min(lo + SUBSTEP_CHUNK, cfg.steps * nsub))
         if cfg.backend == "trotter":  # step i is segment i + 1
             return trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(i + 1)), cfg.delta)
         seg, sub = np.divmod(i, nsub)  # seg = m - 1
         t = seg * cfg.delta + (sub + 0.5) * h
         return unitary_step(hamiltonian(ModelParams(bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, t))), h)
 
-    chunks = range((first - 1) * nsub, last * nsub, SUBSTEP_CHUNK)
+    chunks = range(0, cfg.steps * nsub, SUBSTEP_CHUNK)
     steps = itertools.chain.from_iterable(map(propagators, chunks))
-    for _ in range(first, last + 1):
+    for _ in range(cfg.steps):
         yield itertools.islice(steps, nsub)
 
 
@@ -370,18 +370,11 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, concurrences
     )
 
 
-def propagate(cfg: SweepConfig, initial: np.ndarray) -> ScanTrace:
-    """Evolve ``initial`` through the scan, recording each segment boundary.
-
-    The initial state must be normalized; pure runs are meant to start in
-    the triplet sector, where the swap symmetry keeps them.
-    """
-    psi = np.asarray(initial, dtype=complex).copy()
-    if psi.shape != (4,):
-        raise ValueError(f"initial state must have 4 components, got {psi.shape}")
-    if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-8:  # NaN fails too
-        raise ValueError("initial state is not normalized")
-    return _run(cfg, psi, _advance, _populations_pure, concurrence)
+def propagate(cfg: SweepConfig) -> ScanTrace:
+    """Pure-state scan from the ground state at b0, recording each segment
+    boundary; the swap symmetry keeps the state in the triplet sector."""
+    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
+    return _run(cfg, start, _advance, _populations_pure, concurrence)
 
 
 def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
@@ -401,28 +394,23 @@ def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
     return (f1[:, None, :, None] * f2[None, :, None, :]).reshape(4, 4)
 
 
-def dephase_propagate(cfg: SweepConfig, rho0: np.ndarray) -> ScanTrace:
-    """Density-matrix scan with per-qubit phase damping after each segment.
+def dephase_propagate(cfg: SweepConfig) -> ScanTrace:
+    """Density-matrix scan from the ground state at b0, with per-qubit phase
+    damping after each segment.
 
     Dephasing acts in the computational basis.  Observables are ground-state
     expectation values <psi_g|rho|psi_g> and eigenpopulations <v_i|rho|v_i>;
     the concurrence column uses the mixed-state formula.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
-        raise ValueError("density matrix must have unit trace")
-    return _run(cfg, rho, _dephasing_advance(cfg), _populations_mixed, concurrence_mixed)
+    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
+    return _run(cfg, np.outer(start, start.conj()), _dephasing_advance(cfg),
+                _populations_mixed, concurrence_mixed)
 
 
 def scan(cfg: SweepConfig) -> ScanTrace:
     """Scan started in the ground state at b0: a density-matrix run with
     dephasing when ``cfg.t2`` is set, a pure-state run otherwise."""
-    start = model.ground_vector(ModelParams(bx=cfg.bx, bz=cfg.b0))
-    if cfg.t2 is None:
-        return propagate(cfg, start)
-    return dephase_propagate(cfg, np.outer(start, start.conj()))
+    return propagate(cfg) if cfg.t2 is None else dephase_propagate(cfg)
 
 
 def final_defect(cfg: SweepConfig) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import evolve, model
 from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
-from .evolve import SweepConfig, _advance, _segment_unitaries
+from .evolve import SweepConfig, _advance
 from .model import GroundState, KET_00, ModelParams, _both, ground_state
 
 # schedule entries: ("pulse", channel, axis, flip_rad) | ("offset", hz)
@@ -166,14 +166,14 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
 @functools.lru_cache(maxsize=1)
 def _window(run: SweepConfig, lo: int, hi: int):
     """The states of the trotter run ``run`` from P(0)|00> at boundaries
-    lo..hi-1, streamed from boundary 0, and their triplet spectra as one
-    stack, whose member 0 gives P(0)'s ground state when lo is 0.  Only the
-    last window is kept; configs are keyed by equality."""
+    lo..hi-1, read from ``evolve._states`` of ``run`` cut to hi - 1
+    segments, and their triplet spectra as one stack, whose member 0 gives
+    P(0)'s ground state when lo is 0.  Only the last window is kept;
+    configs are keyed by equality."""
     sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=run.field(np.arange(lo, hi))))
     g0 = (model._ground(run.bx, run.b0, sd.eigenvalues[0], sd.eigenvectors[0]) if lo == 0
           else ground_state(ModelParams(bx=run.bx, bz=run.b0)))
-    states = itertools.accumulate(_segment_unitaries(run, 1, hi - 1), _advance,
-                                  initial=_prep(g0)[1] @ KET_00)
+    states = evolve._states(replace(run, steps=hi - 1), _prep(g0)[1] @ KET_00, _advance)
     return tuple(itertools.islice(states, lo, None)), sd
 
 

@@ -7,10 +7,10 @@ from kzsim import model
 from kzsim.evolve import _segment_unitaries
 
 
-def segment_unitary(cfg, m: int):
-    """Full propagator of segment m (1-based) for ``cfg``'s backend: the
-    product of the propagators ``_segment_unitaries`` yields for it."""
-    return reduce(lambda u, sub: sub @ u, next(_segment_unitaries(cfg, m, m)))
+def segment_unitaries(cfg):
+    """Full propagator of each segment m = 1..steps for ``cfg``'s backend, in
+    order: the product of the propagators ``_segment_unitaries`` yields for it."""
+    return (reduce(lambda u, sub: sub @ u, subs) for subs in _segment_unitaries(cfg))
 
 
 def spectrum_fields(monkeypatch):

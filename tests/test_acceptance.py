@@ -8,12 +8,12 @@ import math
 import numpy as np
 
 from kzsim import evolve, kzm, model, protocol
-from kzsim.evolve import SweepConfig, propagate, trotter_step
+from kzsim.evolve import SweepConfig, scan, trotter_step
 from kzsim.kzm import KzmParams, freeze_out, predicted_defects
 from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
-from helpers import segment_unitary
+from helpers import segment_unitaries
 from oracles import freeze_out_bisection, random_hermitian
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
@@ -49,7 +49,7 @@ def test_criterion_02_trotter_fidelity():
 
 def test_criterion_03_pre_critical_quiescence():
     cfg = SweepConfig.from_rate(0.1, 1.0, b0=-2.0, bz_end=-0.2)
-    trace = propagate(cfg, ground_vector(ModelParams(bx=0.1, bz=-2.0)))
+    trace = scan(cfg)
     early = [d for bz, d in zip(trace.bz, trace.defect) if bz <= -1.5 + 1e-9]
     worst = max(early)
     ok = worst < 0.005
@@ -115,9 +115,8 @@ def test_criterion_08_backend_equivalence():
     worst = 0.0
     where = None
     for bx, k in EXPERIMENT_SETS:
-        start = ground_vector(ModelParams(bx=bx, bz=-1.5))
-        ref = propagate(SweepConfig.from_rate(bx, k, bz_end=0.0), start)
-        trot = propagate(SweepConfig.from_rate(bx, k, bz_end=0.0, backend="trotter"), start)
+        ref = scan(SweepConfig.from_rate(bx, k, bz_end=0.0))
+        trot = scan(SweepConfig.from_rate(bx, k, bz_end=0.0, backend="trotter"))
         for bz, d_r, d_t in zip(ref.bz, ref.defect, trot.defect):
             if -0.1 < bz < 0.1:
                 continue
@@ -138,7 +137,7 @@ def test_criterion_09_protocol_identity():
     worst = 0.0
     for bx, k in EXPERIMENT_SETS:
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend="trotter")
-        trace = propagate(cfg, ground_vector(ModelParams(bx=bx, bz=-1.5)))
+        trace = scan(cfg)
         for j in range(cfg.steps + 1):
             f = protocol.protocol_overlap(cfg, j)
             worst = max(worst, abs((1.0 - f) - trace.defect[j]))
@@ -151,10 +150,10 @@ def test_criterion_10_concurrence():
     c_bell = evolve.concurrence(PHI_PLUS)
     c_prod = evolve.concurrence(KET_00)
     cfg = SweepConfig.from_rate(0.2, 1 / 50, bz_end=0.0)
-    slow = propagate(cfg, ground_vector(ModelParams(bx=0.2, bz=-1.5)))
+    slow = scan(cfg)
     c_slow = slow.concurrence[-1]
     cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=0.0)
-    fast = propagate(cfg, ground_vector(ModelParams(bx=0.1, bz=-1.5)))
+    fast = scan(cfg)
     c_fast = fast.concurrence[-1]
     # "exact" endpoints hold to one ulp of double arithmetic (1/sqrt(2) is
     # not representable, so C(phi+) evaluates 2^-52 below 1)
@@ -176,12 +175,8 @@ def test_criterion_10_concurrence():
 def test_criterion_11_t2_effect():
     diffs = {}
     for bx in (0.1, 0.2):
-        start = ground_vector(ModelParams(bx=bx, bz=-1.5))
-        pure = propagate(SweepConfig.from_rate(bx, 0.25, backend="trotter"), start)
-        noisy = evolve.dephase_propagate(
-            SweepConfig.from_rate(bx, 0.25, backend="trotter", t2=(2.0, 0.2)),
-            np.outer(start, start.conj()),
-        )
+        pure = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter"))
+        noisy = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter", t2=(2.0, 0.2)))
         diffs[bx] = abs(noisy.final_defect - pure.final_defect)
     fit_u = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES, backend="trotter")
     fit_t = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES,
@@ -214,8 +209,8 @@ def test_criterion_12_property_suite():
         backend = ("reference", "trotter")[int(rng.integers(0, 2))]
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend)
         psi = ground_vector(ModelParams(bx=bx, bz=-1.5))
-        for m in range(1, cfg.steps + 1):
-            psi = segment_unitary(cfg, m) @ psi
+        for u in segment_unitaries(cfg):
+            psi = u @ psi
             worst_norm = max(worst_norm, abs(abs(np.vdot(psi, psi)) - 1.0))
             worst_singlet = max(worst_singlet, abs(np.vdot(PHI_MINUS, psi)) ** 2)
     # trace conservation under dephasing
@@ -224,17 +219,16 @@ def test_criterion_12_property_suite():
     rho = np.outer(g, g.conj())
     mask = evolve.phase_damping_factors(cfg)
     worst_trace = 0.0
-    for m in range(1, cfg.steps + 1):
-        u = segment_unitary(cfg, m)
+    for u in segment_unitaries(cfg):
         rho = (u @ rho @ u.conj().T) * mask
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
     # grid refinement of the reference backend
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    d_coarse = propagate(cfg, ground_vector(ModelParams(bx=0.1, bz=-1.5))).final_defect
+    d_coarse = scan(cfg).final_defect
     saved = evolve.REFERENCE_SUBSTEP
     try:
         evolve.REFERENCE_SUBSTEP = saved / 2
-        d_fine = propagate(cfg, ground_vector(ModelParams(bx=0.1, bz=-1.5))).final_defect
+        d_fine = scan(cfg).final_defect
     finally:
         evolve.REFERENCE_SUBSTEP = saved
     refine = abs(d_coarse - d_fine)

@@ -64,8 +64,7 @@ def _no_propagator(*args, **kwargs):
 def refuse_propagators(monkeypatch):
     """Fail at the first propagator: a refusal comes before any, so a lost
     one fails here in milliseconds instead of running a huge scan."""
-    for module in (evolve, protocol):
-        monkeypatch.setattr(module, "_segment_unitaries", _no_propagator)
+    monkeypatch.setattr(evolve, "_segment_unitaries", _no_propagator)
 
 
 def test_parse_defaults():
@@ -118,6 +117,9 @@ def test_exit_codes(tmp_path, monkeypatch):
                      ["scan", "--b0", "-1e9"], ["scan", "--k", "-1e-3"],
                      ["scan", "--backend", "trotter", "--b0=-1e9", "--bz-end=-999999999.65"]):
             assert cli.main(argv) == 3, argv
+        # scans, fits and the overlap window draw on that one propagator source
+        with pytest.raises(AssertionError, match="built a propagator"):
+            protocol.protocol_overlap(evolve.SweepConfig.from_rate(0.1, 1.0, backend="trotter"), 3)
     assert not list(tmp_path.iterdir())
     assert cli.main(["lz-check", "--bx", "1e-10"]) == 0
 

@@ -10,12 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from kzsim import evolve, kzm, model, protocol
 from kzsim.errors import ConfigInconsistent, InvalidT2, KzsimError, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
-                          concurrence_mixed, dephase_propagate, propagate,
-                          ramp, scan, trotter_step)
+                          concurrence_mixed, dephase_propagate, ramp, scan, trotter_step)
 from kzsim.model import FIELD_LIMIT, KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
-from helpers import segment_unitary, spectrum_fields
+from helpers import segment_unitaries, spectrum_fields
 from oracles import series_expm_minus_i
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
@@ -146,7 +145,7 @@ def test_stacked_trotter_step_matches_single_calls():
 
 def test_pre_critical_quiescence():
     cfg = SweepConfig.from_rate(0.1, 1.0, b0=-2.0, bz_end=-0.2)
-    trace = propagate(cfg, start_state(0.1, -2.0))
+    trace = scan(cfg)
     for bz, d in zip(trace.bz, trace.defect):
         if bz <= -1.5 + 1e-9:
             assert d < 0.005
@@ -159,14 +158,14 @@ def test_slower_scan_fewer_defects():
     d = {}
     for k in (1.0, 0.05):
         cfg = SweepConfig.from_rate(0.1, k)
-        d[k] = propagate(cfg, start_state(0.1, -1.5)).final_defect
+        d[k] = scan(cfg).final_defect
     assert d[0.05] < d[1.0] / 2
     assert d[0.05] == pytest.approx(0.28618906, abs=1e-6)
 
 
 def test_adiabatic_limit():
     cfg = SweepConfig.from_rate(0.2, 1 / 200)
-    trace = propagate(cfg, start_state(0.2, -1.5))
+    trace = scan(cfg)
     assert trace.final_defect < 0.01
 
 
@@ -197,7 +196,7 @@ def test_ground_state_has_no_defects():
 
 def test_final_defect_matches_scaling_law():
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    trace = propagate(cfg, start_state(0.1, -1.5))
+    trace = scan(cfg)
     # frozen reference-backend value, consistent with exp(-1.49 * 4 bx^2 / k)
     assert trace.final_defect == pytest.approx(0.9390697247, abs=1e-8)
     assert trace.final_defect == pytest.approx(math.exp(-1.49 * 0.04), abs=0.02)
@@ -212,10 +211,10 @@ def test_concurrence_endpoints():
 
 def test_concurrence_scans():
     cfg = SweepConfig.from_rate(0.2, 1 / 50, bz_end=0.0)
-    slow = propagate(cfg, start_state(0.2, -1.5))
+    slow = scan(cfg)
     assert slow.concurrence[-1] == pytest.approx(0.93178297, abs=1e-6)
     cfg = SweepConfig.from_rate(0.1, 1.0, bz_end=0.0)
-    fast = propagate(cfg, start_state(0.1, -1.5))
+    fast = scan(cfg)
     assert fast.concurrence[-1] == pytest.approx(0.05431864, abs=1e-6)
     assert fast.concurrence[-1] < 0.3 < slow.concurrence[-1]
 
@@ -223,7 +222,7 @@ def test_concurrence_scans():
 def test_norm_and_population_invariants():
     for bx, k in ((0.1, 1.0), (0.2, 0.25)):
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0)
-        trace = propagate(cfg, start_state(bx, -1.5))
+        trace = scan(cfg)
         pop_sum = trace.a0 + trace.a1 + trace.a2
         assert np.max(np.abs(pop_sum - 1)) < 1e-9
         assert np.max(np.abs(trace.defect + trace.overlap - 1)) < 1e-10
@@ -238,8 +237,8 @@ def test_triplet_confinement():
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0,
                                     backend=rng.choice(["reference", "trotter"]))
         psi = start_state(bx, -1.5)
-        for m in range(1, cfg.steps + 1):
-            psi = segment_unitary(cfg, m) @ psi
+        for u in segment_unitaries(cfg):
+            psi = u @ psi
             assert abs(np.vdot(PHI_MINUS, psi)) ** 2 <= 1e-12
             assert abs(np.vdot(psi, psi).real - 1) < 1e-10
 
@@ -252,20 +251,19 @@ def test_segment_unitary_matches_single_substeps():
     subs = [unitary_step(model.driven_hamiltonian(ModelParams(
                 bx=cfg.bx, bz=ramp(cfg.b0, cfg.k, (m - 1) * cfg.delta + (i + 0.5) * h))), h)
             for i in range(nsub)]
-    assert segment_unitary(cfg, m).tobytes() == reduce(lambda u, s: s @ u, subs).tobytes()
+    assert list(segment_unitaries(cfg))[m - 1].tobytes() == reduce(lambda u, s: s @ u, subs).tobytes()
 
 
 def test_chunking_keeps_bits(monkeypatch):
     cfg = SweepConfig.from_rate(0.2, 0.25)  # 13 segments of 40 substeps
-    g = start_state(0.2, -1.5)
-    expected = propagate(cfg, g)
-    u7 = segment_unitary(cfg, 7)
+    expected = scan(cfg)
+    us = [u.tobytes() for u in segment_unitaries(cfg)]
     # chunks shorter than a segment, and straddling segment boundaries
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 7)
-    trace = propagate(cfg, g)
+    trace = scan(cfg)
     for name in ("defect", "a1", "a2", "concurrence"):
         assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
-    assert segment_unitary(cfg, 7).tobytes() == u7.tobytes()
+    assert [u.tobytes() for u in segment_unitaries(cfg)] == us
 
 
 def test_segments_are_built_lazily(monkeypatch):
@@ -380,9 +378,9 @@ def test_work_limit():
 
 def test_grid_refinement(monkeypatch):
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    d_coarse = propagate(cfg, start_state(0.1, -1.5)).final_defect
+    d_coarse = scan(cfg).final_defect
     monkeypatch.setattr(evolve, "REFERENCE_SUBSTEP", 0.005)
-    d_fine = propagate(cfg, start_state(0.1, -1.5)).final_defect
+    d_fine = scan(cfg).final_defect
     assert abs(d_coarse - d_fine) < 1e-4
 
 
@@ -392,7 +390,7 @@ def test_field_step_insensitivity():
     results = {}
     for delta_b in (0.1, 0.04, 0.02):
         cfg = SweepConfig.from_rate(0.2, 0.25, b0=-2.0, bz_end=-0.2, delta_b=delta_b)
-        trace = propagate(cfg, start_state(0.2, -2.0))
+        trace = scan(cfg)
         results[delta_b] = {round(b, 6): d for b, d in zip(trace.bz, trace.defect)}
     for bz in (-1.0, -0.6, -0.2):
         vals = [results[db][bz] for db in (0.1, 0.04, 0.02)]
@@ -401,20 +399,16 @@ def test_field_step_insensitivity():
 
 def test_dephasing_identity_limit():
     cfg = SweepConfig.from_rate(0.1, 0.25, backend="trotter")
-    pure = propagate(cfg, start_state(0.1, -1.5))
-    cfg_t2 = SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(1e12, 1e12))
-    g = start_state(0.1, -1.5)
-    mixed = dephase_propagate(cfg_t2, np.outer(g, g.conj()))
+    pure = scan(cfg)
+    mixed = scan(SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(1e12, 1e12)))
     assert np.max(np.abs(pure.defect - mixed.defect)) < 1e-8
     assert np.max(np.abs(pure.concurrence - mixed.concurrence)) < 1e-6
 
 
 def test_dephasing_shifts_defects():
     # frozen values for the slowest experimental rate with T2 = (2 s, 0.2 s)
-    g = start_state(0.1, -1.5)
-    cfg = SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2))
-    trace = dephase_propagate(cfg, np.outer(g, g.conj()))
-    pure = propagate(SweepConfig.from_rate(0.1, 0.25, backend="trotter"), g)
+    trace = scan(SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2)))
+    pure = scan(SweepConfig.from_rate(0.1, 0.25, backend="trotter"))
     assert trace.final_defect - pure.final_defect == pytest.approx(0.006845, abs=1e-5)
 
 
@@ -423,8 +417,7 @@ def test_dephasing_trace_and_positivity():
     cfg = SweepConfig.from_rate(0.2, 0.25, backend="trotter", t2=(2.0, 0.2), bz_end=0.0)
     rho = np.outer(g, g.conj())
     mask = evolve.phase_damping_factors(cfg)
-    for m in range(1, cfg.steps + 1):
-        u = segment_unitary(cfg, m)
+    for u in segment_unitaries(cfg):
         rho = (u @ rho @ u.conj().T) * mask
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -450,7 +443,8 @@ def test_phase_damping_mask_matches_loops():
 
 def test_dephasing_fully_mixed_input():
     cfg = SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2))
-    trace = dephase_propagate(cfg, np.eye(4, dtype=complex) / 4)
+    trace = evolve._run(cfg, np.eye(4, dtype=complex) / 4, evolve._dephasing_advance(cfg),
+                        evolve._populations_mixed, concurrence_mixed)
     assert np.allclose(trace.overlap, 0.25, atol=1e-10)
     assert np.all((trace.defect >= 0) & (trace.defect <= 1))
 
@@ -458,7 +452,7 @@ def test_dephasing_fully_mixed_input():
 def test_invalid_t2():
     cfg = SweepConfig.from_rate(0.1, 1.0)
     with pytest.raises(InvalidT2, match="config carries no T2 times"):
-        dephase_propagate(cfg, np.eye(4, dtype=complex) / 4)
+        dephase_propagate(cfg)
     # a bad pair is refused when the config is built, before an overflowing scan time
     for t2, k in (((-1.0, 2.0), 1.0), ((0.0, 1.0), 1.0), ((1.0,), 1.0), ((math.inf, 1.0), 1.0),
                   ((-1.0, 0.2), 5e-309)):
@@ -491,12 +485,12 @@ def test_stacked_concurrence_matches_single_states():
 
 def test_csv_serialization():
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    trace = propagate(cfg, start_state(0.1, -1.5))
+    trace = scan(cfg)
     text = trace.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == ScanTrace.CSV_HEADER
     assert len(lines) == cfg.steps + 2
-    assert text == propagate(cfg, start_state(0.1, -1.5)).to_csv()
+    assert text == scan(cfg).to_csv()
 
 
 @pytest.mark.parametrize("backend", evolve.BACKENDS)

@@ -2,10 +2,12 @@
 
 Every artifact below is regenerated through ``cli.main`` and its sha256
 compared with ``golden/sha256.txt``; commands that print a summary also pin
-their stdout.  The reference-backend artifacts (``figure fig1c/fig4/fig5``
-and ``fit --k-grid ideal`` per transverse field) are included; they are
-affordable because the reference backend diagonalizes its substeps in
-stacks.
+their stdout.  ``protocol-overlap.csv``, which the command line does not
+emit, holds ``protocol_overlap`` at every boundary of the eight experimental
+trotter settings over [-1.5, 0].  The reference-backend artifacts (``figure
+fig1c/fig4/fig5`` and ``fit --k-grid ideal`` per transverse field) are
+included; they are affordable because the reference backend diagonalizes
+its substeps in stacks.
 
 Print fresh digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from kzsim import cli
+from kzsim import cli, evolve, kzm, protocol
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.txt"
 T2 = ["--t2", "2,0.2"]
@@ -49,6 +51,7 @@ ARTIFACTS = {
     "schedule.txt": ["schedule", "--j", "15"],
     "lz-check.json": ["lz-check"],
 }
+OVERLAP = "protocol-overlap.csv"
 
 
 def _sha(data: bytes) -> str:
@@ -68,6 +71,17 @@ def _generate(name: str, workdir: Path) -> dict[str, str]:
     return digests
 
 
+def _overlap_csv() -> bytes:
+    """The lines ``bx,k,j,overlap`` with ``repr`` floats."""
+    lines = ["bx,k,j,overlap"]
+    for bx in kzm.EXPERIMENT_BX_VALUES:
+        for k in kzm.EXPERIMENT_K_VALUES:
+            cfg = evolve.SweepConfig.from_rate(bx, k, b0=-1.5, bz_end=0.0, backend="trotter")
+            lines += (f"{bx!r},{k!r},{j},{protocol.protocol_overlap(cfg, j)!r}"
+                      for j in range(cfg.steps + 1))
+    return ("\n".join(lines) + "\n").encode()
+
+
 def _golden() -> dict[str, str]:
     pairs = (line.split() for line in GOLDEN.read_text().splitlines() if line)
     return {name: digest for digest, name in pairs}
@@ -82,9 +96,14 @@ def test_golden_digest(name, tmp_path):
     assert (stdout_key in golden) == (stdout_key in digests)
 
 
+def test_golden_overlap_digest():
+    assert _sha(_overlap_csv()) == _golden()[OVERLAP]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         found: dict[str, str] = {}
         for artifact in sorted(ARTIFACTS):
             found.update(_generate(artifact, Path(tmp)))
+    found[OVERLAP] = _sha(_overlap_csv())
     sys.stdout.write("".join(f"{found[key]}  {key}\n" for key in sorted(found)))

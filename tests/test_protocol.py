@@ -10,7 +10,7 @@ import pytest
 
 from kzsim import evolve, model, protocol
 from kzsim.errors import DegenerateGround, IndexOutOfRange, NoValidBranch
-from kzsim.evolve import SweepConfig, propagate, trotter_step
+from kzsim.evolve import SweepConfig, scan, trotter_step
 from kzsim.model import GroundState, KET_00, ModelParams, ground_state, ground_vector
 from kzsim.protocol import (PrepAngles, gradient_crush, nmr_schedule,
                             prep_angles, prep_operator, protocol_overlap)
@@ -302,7 +302,7 @@ def test_protocol_overlap_at_start():
 def test_protocol_overlap_equals_trotter_defect():
     for bx, k in ((0.1, 1.0), (0.2, 0.25)):
         cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend="trotter")
-        trace = propagate(cfg, ground_vector(ModelParams(bx=bx, bz=-1.5)))
+        trace = scan(cfg)
         for j in range(cfg.steps + 1):
             f = protocol_overlap(cfg, j)
             assert abs((1.0 - f) - trace.defect[j]) <= 1e-9
