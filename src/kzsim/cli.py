@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from . import evolve, kzm, protocol
@@ -156,18 +155,18 @@ def parse_args(argv) -> RunConfig:
 
 def _atomic_write(path: str, text: str) -> None:
     target = os.path.abspath(path)
-    directory = os.path.dirname(target)
+    # open() creates a fresh name with mode 0o666, so the artifact follows the umask
+    tmp = os.path.join(os.path.dirname(target), f".kzsim-tmp-{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kzsim-tmp-")
         try:
-            with os.fdopen(fd, "w", newline="") as fh:
+            with open(tmp, "x", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _rows_to_csv(note: str, header, rows) -> str:

@@ -11,13 +11,11 @@ from kzsim import evolve, kzm, model, protocol
 from kzsim.errors import ConfigInconsistent, InvalidT2, KzsimError, WorkLimitExceeded
 from kzsim.evolve import (ScanTrace, SweepConfig, concurrence,
                           concurrence_mixed, dephase_propagate, ramp, scan, trotter_step)
-from kzsim.model import FIELD_LIMIT, KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
+from kzsim.model import FIELD_LIMIT, KET_00, ModelParams, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
 from helpers import segment_unitaries, spectrum_fields
 from oracles import series_expm_minus_i
-
-EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
 
 
 def start_state(bx, b0):
@@ -46,6 +44,12 @@ def test_config_validation():
         SweepConfig.from_rate(-0.1, 1.0, backend="trotter")
     with pytest.raises(ConfigInconsistent, match="transverse field must be >= 0, got -0.1"):
         SweepConfig(-0.1, 1.0, delta=0.1, steps=13)
+    # a window shorter than half a segment is refused, even within the tolerance
+    with pytest.raises(ConfigInconsistent, match="is not a whole number"):
+        SweepConfig.from_rate(0.1, 1.0, bz_end=-1.5 + 1e-12)
+    # a window off by exactly the tolerance (2**25 at |bz| = 2**75) is whole
+    SweepConfig.from_rate(0.1, 1.0, b0=0.0, bz_end=2.0**75, delta_b=2.0**75 + 2.0**25,
+                          backend="trotter")
 
 
 def test_steps_must_be_an_integer_a_float_holds():
@@ -55,11 +59,12 @@ def test_steps_must_be_an_integer_a_float_holds():
     for steps in (2.5, 13.0, True, None, "13"):
         with pytest.raises(ConfigInconsistent, match="segment count must be an integer"):
             build(steps)
-    for steps in (10**400, -10**400, 10**5000):
+    for steps in (2**1023, 10**400, -10**400, 10**5000):
         with pytest.raises(ConfigInconsistent, match="overflows a float"):
             build(steps)
     # numpy integers are counted as python ints: no wrap, no warning
-    for steps, count in ((np.int64(9 * 10**17), "9.000e+17"), (np.uint64(2**63), "9.223e+18")):
+    for steps, count in ((10**15, "1.000e+15"), (np.int64(9 * 10**17), "9.000e+17"),
+                         (np.uint64(2**63), "9.223e+18")):
         with pytest.raises(WorkLimitExceeded) as refused:
             build(steps)
         assert f"needs {count} propagator steps ({count} segments x 1)" in str(refused.value)
@@ -107,27 +112,6 @@ def test_trotter_error_is_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
-def test_trotter_per_step_fidelity():
-    worst = 1.0
-    for bx, k in EXPERIMENT_SETS:
-        delta = 0.1 / k
-        psi = start_state(bx, -1.5)
-        for m in range(1, 16):
-            p = ModelParams(bx=bx, bz=-1.5 + 0.1 * m)
-            exact = series_expm_minus_i(model.driven_hamiltonian(p), delta, terms=40) @ psi
-            approx = trotter_step(p, delta) @ psi
-            worst = min(worst, abs(np.vdot(exact, approx)) ** 2)
-            psi = exact
-    assert worst >= 0.994
-    assert worst == pytest.approx(0.9968, abs=5e-4)  # frozen reference value
-
-
-def test_trotter_step_unitary():
-    for bx, k in EXPERIMENT_SETS:
-        u = trotter_step(ModelParams(bx=bx, bz=-0.9), 0.1 / k)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-
-
 def test_stacked_trotter_step_matches_single_calls():
     # bx = 0, a subnormal delta bx, and a stack longer than SUBSTEP_CHUNK
     bz = np.linspace(-3.0, 3.0, evolve.SUBSTEP_CHUNK + 45)
@@ -141,32 +125,6 @@ def test_stacked_trotter_step_matches_single_calls():
             single = trotter_step(ModelParams(bx=bx, bz=b), delta)
             uz = np.diag(np.exp(-1j * delta * np.array([2 * b + 1.0, -1.0, -1.0, -2 * b + 1.0])))
             assert u.tobytes() == single.tobytes() == (uz @ np.kron(rx, rx)).tobytes()
-
-
-def test_pre_critical_quiescence():
-    cfg = SweepConfig.from_rate(0.1, 1.0, b0=-2.0, bz_end=-0.2)
-    trace = scan(cfg)
-    for bz, d in zip(trace.bz, trace.defect):
-        if bz <= -1.5 + 1e-9:
-            assert d < 0.005
-    # and the crossing then produces a large defect density
-    assert trace.final_defect > 0.9
-    assert trace.final_defect == pytest.approx(0.95499963, abs=1e-6)
-
-
-def test_slower_scan_fewer_defects():
-    d = {}
-    for k in (1.0, 0.05):
-        cfg = SweepConfig.from_rate(0.1, k)
-        d[k] = scan(cfg).final_defect
-    assert d[0.05] < d[1.0] / 2
-    assert d[0.05] == pytest.approx(0.28618906, abs=1e-6)
-
-
-def test_adiabatic_limit():
-    cfg = SweepConfig.from_rate(0.2, 1 / 200)
-    trace = scan(cfg)
-    assert trace.final_defect < 0.01
 
 
 def embed(v):
@@ -200,8 +158,9 @@ def test_final_defect_matches_scaling_law():
     # frozen reference-backend value, consistent with exp(-1.49 * 4 bx^2 / k)
     assert trace.final_defect == pytest.approx(0.9390697247, abs=1e-8)
     assert trace.final_defect == pytest.approx(math.exp(-1.49 * 0.04), abs=0.02)
-    # defect equals 1 - ground population at every boundary
+    # defect equals 1 - ground population at every boundary, reached at t = j delta
     assert np.max(np.abs(trace.defect - (1 - trace.a0))) < 1e-10
+    assert trace.t.tolist() == (np.arange(cfg.steps + 1) * cfg.delta).tolist()
 
 
 def test_concurrence_endpoints():
@@ -217,30 +176,6 @@ def test_concurrence_scans():
     fast = scan(cfg)
     assert fast.concurrence[-1] == pytest.approx(0.05431864, abs=1e-6)
     assert fast.concurrence[-1] < 0.3 < slow.concurrence[-1]
-
-
-def test_norm_and_population_invariants():
-    for bx, k in ((0.1, 1.0), (0.2, 0.25)):
-        cfg = SweepConfig.from_rate(bx, k, bz_end=0.0)
-        trace = scan(cfg)
-        pop_sum = trace.a0 + trace.a1 + trace.a2
-        assert np.max(np.abs(pop_sum - 1)) < 1e-9
-        assert np.max(np.abs(trace.defect + trace.overlap - 1)) < 1e-10
-        assert np.all((trace.concurrence >= 0) & (trace.concurrence <= 1))
-
-
-def test_triplet_confinement():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        bx = float(rng.uniform(0.05, 0.3))
-        k = float(rng.uniform(0.3, 1.5))
-        cfg = SweepConfig.from_rate(bx, k, bz_end=0.0,
-                                    backend=rng.choice(["reference", "trotter"]))
-        psi = start_state(bx, -1.5)
-        for u in segment_unitaries(cfg):
-            psi = u @ psi
-            assert abs(np.vdot(PHI_MINUS, psi)) ** 2 <= 1e-12
-            assert abs(np.vdot(psi, psi).real - 1) < 1e-10
 
 
 def test_segment_unitary_matches_single_substeps():
@@ -372,16 +307,11 @@ def test_work_limit():
         SweepConfig.from_rate(0.1, 1e-6)
     with pytest.raises(WorkLimitExceeded):
         SweepConfig.from_rate(0.1, 1.0, bz_end=1e6, backend="trotter")
+    with pytest.raises(WorkLimitExceeded, match=r"needs inf propagator steps \(1 segments x inf\)"):
+        SweepConfig(0.1, 1e-308, delta=1e307, steps=1)
+    SweepConfig(0.1, 1.0, delta=0.1, steps=evolve.MAX_SUBSTEPS, backend="trotter")  # at the limit
     # fig5's slowest scan, 30 segments of 300 substeps, is well inside
     SweepConfig.from_rate(0.1, 1 / 30, bz_end=1.5)
-
-
-def test_grid_refinement(monkeypatch):
-    cfg = SweepConfig.from_rate(0.1, 1.0)
-    d_coarse = scan(cfg).final_defect
-    monkeypatch.setattr(evolve, "REFERENCE_SUBSTEP", 0.005)
-    d_fine = scan(cfg).final_defect
-    assert abs(d_coarse - d_fine) < 1e-4
 
 
 def test_field_step_insensitivity():
@@ -481,16 +411,6 @@ def test_stacked_concurrence_matches_single_states():
     rho = 0.7 * pure + 0.3 * pure[::-1]
     stacked = concurrence_mixed(rho)
     assert stacked.tobytes() == np.array([concurrence_mixed(r) for r in rho]).tobytes()
-
-
-def test_csv_serialization():
-    cfg = SweepConfig.from_rate(0.1, 1.0)
-    trace = scan(cfg)
-    text = trace.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == ScanTrace.CSV_HEADER
-    assert len(lines) == cfg.steps + 2
-    assert text == scan(cfg).to_csv()
 
 
 @pytest.mark.parametrize("backend", evolve.BACKENDS)

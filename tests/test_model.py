@@ -27,19 +27,6 @@ def triplet_eigs(h4):
     return np.linalg.eigvalsh(block)
 
 
-def ising(bz):
-    return driven_hamiltonian(ModelParams(bx=0.0, bz=bz))
-
-
-def test_ising_levels():
-    assert np.allclose(triplet_eigs(ising(0.0)), [-1, 1, 1])
-    assert np.allclose(triplet_eigs(ising(-1.0)), [-1, -1, 3])
-    h = ising(2.0)
-    w, v = np.linalg.eigh(h)
-    assert w[0] == pytest.approx(-3.0)
-    assert abs(v[3, 0]) ** 2 == pytest.approx(1.0)
-
-
 def test_driven_reduces_to_ising():
     for bz in (-2.0, -0.3, 1.7):
         assert np.array_equal(driven_hamiltonian(ModelParams(0.0, bz)),
@@ -108,6 +95,9 @@ def test_ground_state_pure_phases():
     assert (g.c0, g.cplus, g.c1) == (1.0, 0.0, 0.0)
     g = ground_state(ModelParams(bx=0.0, bz=2.0))  # |11>: c0 = cplus = 0
     assert (g.c0, g.cplus, g.c1) == (0.0, 0.0, 1.0)
+    # |c0| exactly at the 1e-12 threshold: cplus, the first nonzero, is made positive
+    g = ground_state(ModelParams(bx=0.1, bz=50000.500002425026))
+    assert abs(g.c0) == 1e-12 and g.cplus > 0
     g = ground_state(ModelParams(bx=0.1, bz=-2.0))
     assert g.c0**2 > 0.995
     assert g.c0 > 0
@@ -162,6 +152,7 @@ def test_swap_symmetry():
         assert np.max(np.abs(comm)) < 1e-12
         # the singlet is an exact eigenvector with eigenvalue -1
         assert np.max(np.abs(h @ PHI_MINUS - (-1.0) * PHI_MINUS)) < 1e-12
+    assert np.vdot(PHI_MINUS, PHI_MINUS) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ground_continuity_along_sweep():

@@ -16,20 +16,6 @@ from oracles import (cardano_eigvals3, cardano_eigvec3, jacobi, lead_phases, lex
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def hermitians(dim):
-    """Hypothesis strategy for random Hermitian matrices of one dimension."""
-    return st.integers(0, 2**32 - 1).map(
-        lambda seed: random_hermitian(np.random.default_rng(seed), dim)
-    )
-
-
-def test_diagonal_matrix():
-    sd = hermitian_eig(np.diag([1.0, 2.0]).astype(complex))
-    assert np.allclose(sd.eigenvalues, [1.0, 2.0])
-    assert np.allclose(np.abs(sd.eigenvectors), np.eye(2))
-    assert sd.gap == pytest.approx(1.0)
-
-
 def test_pauli_x():
     sd = hermitian_eig(SX)
     assert np.allclose(sd.eigenvalues, [-1.0, 1.0])
@@ -59,8 +45,11 @@ def test_triplet_block_against_characteristic_polynomial():
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(NonHermitianInput):
-        hermitian_eig(np.array([[0, 1e-6], [0, 0]], dtype=complex))
+    # every entry off its conjugate transpose, and a defect just above the tolerance
+    for m in ([[1j, 1], [0, 1j]], [[0, 1e-6], [0, 0]]):
+        with pytest.raises(NonHermitianInput):
+            hermitian_eig(np.array(m, dtype=complex))
+    hermitian_eig(np.array([[0, 1e-12], [0, 0]]))  # a defect of exactly HERMITIAN_TOL passes
 
 
 def test_dimension_limits():
@@ -79,6 +68,8 @@ def test_degenerate_ordering_by_basis_index():
     assert int(np.argmax(np.abs(sd.eigenvectors[:, 1]))) == 2
     # the cluster tolerance scales with the spectrum: at 1e3 a split of 1e-7 is a cluster
     assert hermitian_eig(np.diag([1e3 + 1e-7, 1e3])).eigenvalues.tolist() == [1e3 + 1e-7, 1e3]
+    # and a split of exactly DEGENERACY_TOL at scale 1 is one
+    assert hermitian_eig(np.diag([1e-9, 0.0])).eigenvalues.tolist() == [1e-9, 0.0]
     # in a rotated basis, where the plain sort gives another order
     for dim in (2, 3, 4):
         degenerate = special_members(dim)[0]
@@ -93,11 +84,6 @@ def test_degenerate_ordering_by_basis_index():
 def test_unitary_step_zero_time():
     m = triplet_block(ModelParams(bx=0.3, bz=0.4))
     assert np.allclose(unitary_step(m, 0.0), np.eye(3), atol=1e-14)
-
-
-def test_unitary_step_pauli_identity():
-    u = unitary_step(SX, math.pi / 2)
-    assert np.allclose(u, -1j * SX, atol=1e-12)
 
 
 def test_unitary_step_against_series():
@@ -145,14 +131,6 @@ def test_eigenvalues_invariant_under_conjugation(dim, seed_h, seed_u):
     sd1 = hermitian_eig(h)
     sd2 = hermitian_eig(u @ h @ u.conj().T)
     assert np.max(np.abs(sd1.eigenvalues - sd2.eigenvalues)) < 1e-9
-
-
-def test_deterministic_output():
-    h = random_hermitian(np.random.default_rng(7), 4)
-    sd1 = hermitian_eig(h)
-    sd2 = hermitian_eig(h.copy())
-    assert np.array_equal(sd1.eigenvalues, sd2.eigenvalues)
-    assert np.array_equal(sd1.eigenvectors, sd2.eigenvectors)
 
 
 def test_phase_convention():
