@@ -202,10 +202,8 @@ def execute(cfg: RunConfig) -> int:
             f"{data.figure_id}: {data.note}", data.header, data.rows))
     elif cfg.command == "schedule":
         p = cfg.params
-        # name the flags, not delta, and refuse before delta_b / k
-        evolve._require(positive=True, k=p["k"], delta_b=p["delta_b"])
         sched = protocol.nmr_schedule(evolve.SweepConfig(
-            p["bx"], p["k"], delta=p["delta_b"] / p["k"], steps=p["j"], b0=p["b0"],
+            p["bx"], p["k"], delta=evolve._delta(p["k"], p["delta_b"]), steps=p["j"], b0=p["b0"],
             backend="trotter", j_hz=p["j_hz"]))
         _atomic_write(cfg.out, sched.to_text())
         sys.stdout.write(

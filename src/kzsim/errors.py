@@ -33,7 +33,7 @@ class GapClosed(KzsimError):
 
 
 class NoConvergence(KzsimError):
-    """An iterative eigensolver did not converge within its sweep limit."""
+    """The eigensolver failed: LAPACK raised LinAlgError or returned a non-finite result."""
 
 
 class ConfigInconsistent(_InvalidConfiguration):

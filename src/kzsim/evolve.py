@@ -69,6 +69,17 @@ def _require(*, positive: bool = False, **values: float) -> None:
             raise ConfigInconsistent(f"{name} must be {kind}, got {value}")
 
 
+def _delta(k: float, delta_b: float) -> float:
+    """The segment duration delta_b / k, refused with k and delta_b named
+    unless both and their quotient are positive and finite."""
+    _require(positive=True, k=k, delta_b=delta_b)
+    delta = delta_b / k
+    if not 0 < delta < math.inf:
+        how = "overflows" if delta else "underflows"
+        raise ConfigInconsistent(f"the segment duration delta_b / k {how} at k = {k}, delta_b = {delta_b}")
+    return delta
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Full description of one scan.
@@ -147,7 +158,7 @@ class SweepConfig:
         j_hz: float = J_HZ,
     ) -> "SweepConfig":
         """Build a config from the field step delta_b; delta = delta_b / k."""
-        _require(positive=True, k=k, delta_b=delta_b)
+        delta = _delta(k, delta_b)
         _require(b0=b0, bz_end=bz_end)
         if not bz_end > b0:
             raise ConfigInconsistent(f"scan window [{b0}, {bz_end}] is empty: bz_end must exceed b0")
@@ -163,7 +174,7 @@ class SweepConfig:
                 f"scan window [{b0}, {bz_end}] is not a whole number of"
                 f" delta_b = {delta_b} segments"
             )
-        return cls(bx=bx, k=k, delta=delta_b / k, steps=steps, b0=b0,
+        return cls(bx=bx, k=k, delta=delta, steps=steps, b0=b0,
                    backend=backend, t2=t2, j_hz=j_hz)
 
 

@@ -32,7 +32,7 @@ from .smallmat import DEGENERACY_TOL, hermitian_eig
 # than the experimental 1/4..1 window so the fit is not dominated by the
 # coherent post-crossing oscillation at any single rate
 IDEAL_K_VALUES = tuple(float(k) for k in np.exp(np.linspace(math.log(0.125), 0.0, 12)))
-# the eight experimentally realized rate settings
+# the four experimentally realized scan rates
 EXPERIMENT_K_VALUES = (1.0, 0.5, 1.0 / 3.0, 0.25)
 EXPERIMENT_BX_VALUES = (0.1, 0.2)
 T2_DEFAULT = (2.0, 0.2)
@@ -206,22 +206,25 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     integrated as one reference segment of ``model.effective_hamiltonian``
     (midpoint substeps of at most 0.01 time units).  Its SweepConfig refuses
     it as it would any scan (more than evolve.MAX_SUBSTEPS substeps, among
-    others), and so are a window whose duration overflows and window ends
-    whose levels are not split beyond smallmat.DEGENERACY_TOL.
+    others), and so are a window whose duration overflows or underflows and
+    window ends whose levels are not split beyond smallmat.DEGENERACY_TOL.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
         raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
     half_window = 10.0 * math.sqrt(2) * bx
     duration = 2.0 * half_window / k
-    if not math.isfinite(duration):
+    if not 0 < duration < math.inf:
+        hint = "a larger k or a smaller bx" if duration else "a smaller k or a larger bx"
         raise InvalidParam(f"the crossing window lasts 20 sqrt(2) bx / k = {duration} time units"
-                           f" at bx={bx}, k={k}; use a larger k or a smaller bx")
+                           f" at bx={bx}, k={k}; use {hint}")
     sweep = SweepConfig(bx, k, delta=duration, steps=1, b0=-1.0 - half_window)
     fields = sweep.field(np.arange(2))
     ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
-    # levels within DEGENERACY_TOL are ordered by basis index, not energy
-    for w, gap in zip(ends.eigenvalues, ends.gap):
-        if not gap > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(w)))):
+    # levels within DEGENERACY_TOL are ordered by basis index, not energy.  The
+    # ordering scales the tolerance by max(1, max|w|), but the end levels are
+    # +-gap/2, so that scale exceeds 1 only for a gap above 2, which passes anyway
+    for gap in ends.gap:
+        if not gap > DEGENERACY_TOL:
             raise InvalidParam(f"the levels at a window end are split by {gap:.3g}, within"
                                f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
     segment = next(evolve._segment_unitaries(sweep, hamiltonian=model.effective_hamiltonian))

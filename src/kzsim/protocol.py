@@ -37,7 +37,7 @@ import numpy as np
 from . import evolve, model
 from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
 from .evolve import SweepConfig, _advance
-from .model import GroundState, KET_00, ModelParams, _both, ground_state
+from .model import GroundState, KET_00, ModelParams, _both
 
 # schedule entries: ("pulse", channel, axis, flip_rad) | ("offset", hz)
 #                   | ("delay", seconds) | ("crush",)
@@ -52,7 +52,6 @@ class PrepAngles:
 
     alpha: float
     beta: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def _prep(g: GroundState) -> tuple[PrepAngles, np.ndarray]:
     alpha = math.acos(s)
     gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
     beta = -gamma - math.atan2(math.sqrt(2) * g.cplus, g.c0 - g.c1)
-    a = PrepAngles(alpha=alpha, beta=(beta + math.pi) % (2 * math.pi) - math.pi, gamma=gamma)
+    a = PrepAngles(alpha=alpha, beta=(beta + math.pi) % (2 * math.pi) - math.pi)
     p = prep_operator(a)
     fid = abs(np.vdot(g.vector(), p @ KET_00)) ** 2
     if fid < 1.0 - _FIDELITY_TOL:
@@ -167,38 +166,18 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
 def _window(run: SweepConfig, lo: int, hi: int):
     """The states of the trotter run ``run`` from P(0)|00> at boundaries
     lo..hi-1, read from ``evolve._states`` of ``run`` cut to hi - 1
-    segments, and their triplet spectra as one stack, whose member 0 gives
-    P(0)'s ground state when lo is 0.  Only the last window is kept;
-    configs are keyed by equality."""
-    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=run.field(np.arange(lo, hi))))
-    g0 = (model._ground(run.bx, run.b0, sd.eigenvalues[0], sd.eigenvectors[0]) if lo == 0
-          else ground_state(ModelParams(bx=run.bx, bz=run.b0)))
+    segments, and the triplet spectra of those boundaries and then of
+    boundary 0 as one stack, whose last member gives P(0)'s ground state.
+    Only the last window is kept; configs are keyed by equality."""
+    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=run.field(np.r_[lo:hi, 0])))
+    g0 = model._ground(run.bx, run.b0, sd.eigenvalues[-1], sd.eigenvectors[-1])
     states = evolve._states(replace(run, steps=hi - 1), _prep(g0)[1] @ KET_00, _advance)
     return tuple(itertools.islice(states, lo, None)), sd
 
 
-def _prep_block(a: PrepAngles, j_hz: float) -> tuple[Entry, ...]:
-    return (
-        ("pulse", 1, "x", -a.alpha),
-        ("pulse", 2, "x", -a.alpha),
-        ("offset", 0.0),
-        ("delay", 1.0 / (2.0 * j_hz)),
-        ("pulse", 1, "y", -a.beta),
-        ("pulse", 2, "y", -a.beta),
-    )
-
-
-def _unprep_block(a: PrepAngles, j_hz: float) -> tuple[Entry, ...]:
-    # exp(+i pi/4 zz) realized as a 7/(2J) delay: exp(-i 7pi/4 zz) equals it
-    # exactly since zz has eigenvalues +-1
-    return (
-        ("pulse", 1, "y", a.beta),
-        ("pulse", 2, "y", a.beta),
-        ("offset", 0.0),
-        ("delay", 7.0 / (2.0 * j_hz)),
-        ("pulse", 1, "x", a.alpha),
-        ("pulse", 2, "x", a.alpha),
-    )
+def _pair(axis: str, flip: float) -> tuple[Entry, Entry]:
+    """The same pulse on both spins, the program form of ``model._both``."""
+    return ("pulse", 1, axis, flip), ("pulse", 2, axis, flip)
 
 
 def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
@@ -212,16 +191,15 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     segments = []
     for m in range(1, cfg.steps + 1):
         nu = cfg.field(m) * cfg.j_hz / 2.0
-        segments.append((
-            ("pulse", 1, "x", theta),
-            ("pulse", 2, "x", theta),
-            ("offset", nu),
-            ("delay", d),
-        ))
+        segments.append((*_pair("x", theta), ("offset", nu), ("delay", d)))
     sched = PulseSchedule(
-        prep=_prep_block(a0, cfg.j_hz),
+        prep=(*_pair("x", -a0.alpha), ("offset", 0.0), ("delay", 1.0 / (2.0 * cfg.j_hz)),
+              *_pair("y", -a0.beta)),
         segments=tuple(segments),
-        unprep=_unprep_block(aj, cfg.j_hz),
+        # exp(+i pi/4 zz) realized as a 7/(2J) delay: exp(-i 7pi/4 zz) equals it
+        # exactly since zz has eigenvalues +-1
+        unprep=(*_pair("y", aj.beta), ("offset", 0.0), ("delay", 7.0 / (2.0 * cfg.j_hz)),
+                *_pair("x", aj.alpha)),
         tail=(("crush",), ("pulse", 1, "y", math.pi / 2)),
         j_hz=cfg.j_hz,
     )

@@ -35,8 +35,15 @@ RESULT = re.compile(r"^(tests/\S+::\S+) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS
 
 
 def sites(tree):
-    """(node, index in a comparison chain or None, operator), in ``ast.walk`` order."""
+    """(node, index in a comparison chain or None, operator), in ``ast.walk`` order,
+    outside annotations: under ``from __future__ import annotations`` none is
+    evaluated, so a flip there can never be killed."""
+    notes = {id(n) for node in ast.walk(tree)
+             for note in (getattr(node, "returns", None), getattr(node, "annotation", None))
+             if note is not None for n in ast.walk(note)}
     for node in ast.walk(tree):
+        if id(node) in notes:
+            continue
         if isinstance(node, ast.Compare):
             yield from ((node, i, op) for i, op in enumerate(node.ops))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)):

@@ -141,7 +141,15 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
             (["scan", "--t2", "0,1"], "T2 must be two positive finite times, got (0.0, 1.0)"),
             (["lz-check", "--k", "1e-320"],
              "the crossing window lasts 20 sqrt(2) bx / k = inf time units at bx=0.1, k=1e-320"),
-            (["lz-check", "--bx", "1e308"], "lasts 20 sqrt(2) bx / k = inf time units at bx=1e+308")):
+            (["lz-check", "--bx", "1e308"], "lasts 20 sqrt(2) bx / k = inf time units at bx=1e+308"),
+            (["lz-check", "--bx", "1e-200", "--k", "1e300"], "the crossing window lasts 20 sqrt(2)"
+             " bx / k = 0.0 time units at bx=1e-200, k=1e+300; use a smaller k or a larger bx"),
+            (["scan", "--k", "1e-320"],
+             "the segment duration delta_b / k overflows at k = 1e-320, delta_b = 0.1"),
+            (["fit", "--k-grid", "1e-320,1"],
+             "the segment duration delta_b / k overflows at k = 1e-320, delta_b = 0.1"),
+            (["schedule", "--k", "1e300", "--delta-b", "1e-300", "--j", "1"],
+             "the segment duration delta_b / k underflows at k = 1e+300, delta_b = 1e-300")):
         with monkeypatch.context() as refused:
             if argv != ten_equal_rates:
                 refuse_propagators(refused)

@@ -59,8 +59,8 @@ def test_prep_angles_bell_state():
     g = GroundState(c0=0.0, cplus=1.0, c1=0.0)
     a = prep_angles(g)
     assert a.alpha == pytest.approx(math.pi / 2)
-    # sin(beta + gamma) = -1 for the pure Bell target
-    assert math.sin(a.beta + a.gamma) == pytest.approx(-1.0, abs=1e-12)
+    # beta = -gamma - atan2(sqrt(2), 0) with gamma = atan(1) for the Bell target
+    assert a.beta == pytest.approx(-3 * math.pi / 4, abs=1e-12)
     assert fidelity_to_ground(a, g) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_prep_angles_rejects_unreachable_input():
 
 
 def test_prep_operator_zero_angles():
-    p = prep_operator(PrepAngles(alpha=0.0, beta=0.0, gamma=0.0))
+    p = prep_operator(PrepAngles(alpha=0.0, beta=0.0))
     assert np.allclose(np.abs(p), np.abs(np.diag(np.diag(p))))  # diagonal
     psi = p @ KET_00
     assert abs(psi[0]) == pytest.approx(1.0)
@@ -110,7 +110,7 @@ def test_prep_operator_zero_angles():
 def test_prep_operator_unitary_for_random_angles():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        a = PrepAngles(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3)))
+        a = PrepAngles(*(float(x) for x in rng.uniform(-math.pi, math.pi, 2)))
         p = prep_operator(a)
         assert np.max(np.abs(p.conj().T @ p - np.eye(4))) <= 1e-10
 
@@ -119,7 +119,7 @@ def test_prep_operator_keeps_the_kron_form_bits():
     uzz = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
     rng = np.random.default_rng(29)
     for _ in range(200):
-        a = PrepAngles(*(float(x) for x in rng.uniform(-4, 4, 3)))
+        a = PrepAngles(*(float(x) for x in rng.uniform(-4, 4, 2)))
         ux = np.kron(rx(-a.alpha), rx(-a.alpha))
         uy = np.kron(ry(-a.beta), ry(-a.beta))
         assert prep_operator(a).tobytes() == (uy @ uzz @ ux).tobytes()
@@ -193,12 +193,13 @@ def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
 
 def test_protocol_overlap_builds_the_twin_only_when_needed(monkeypatch):
     # a trotter config without t2 keys the window itself, and a cold call at
-    # 0 solves one stack, whose member 0 also gives P(0)'s ground state; a
-    # reference or a T2 config builds an equal twin and reads that window
+    # 0 solves one stack of boundaries 0..15 and then 0, whose last member
+    # gives P(0)'s ground state; a reference or a T2 config builds an equal
+    # twin and reads that window
     twin = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     fields = spectrum_fields(monkeypatch)
     expected = [np.float64(protocol_overlap(twin, j)).tobytes() for j in range(twin.steps + 1)]
-    assert fields == [twin.field(np.arange(twin.steps + 1)).tolist()]
+    assert fields == [twin.field(np.r_[0:twin.steps + 1, 0]).tolist()]
     for cfg in (replace(twin, backend="reference"), replace(twin, t2=(2.0, 0.2))):
         got = [np.float64(protocol_overlap(cfg, j)).tobytes() for j in range(cfg.steps + 1)]
         assert got == expected, cfg
@@ -269,10 +270,11 @@ def test_protocol_overlap_checks_only_the_boundary_it_reads():
 
 def test_protocol_overlap_reads_one_aligned_window(monkeypatch):
     # a miss at j solves the spectra of the aligned window lo..hi-1 that holds
-    # j as one stack (then P(0)'s ground state, when lo > 0) and streams
-    # segments 1..hi-1; a hit builds nothing
+    # j and then of boundary 0, for P(0)'s ground state, as one stack and
+    # streams segments 1..hi-1; a hit builds nothing
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
     cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
+    fields = spectrum_fields(monkeypatch)
     eig_sizes, segment_fields = [], []
     real_eig, real_step = model.hermitian_eig, evolve.trotter_step
 
@@ -286,12 +288,15 @@ def test_protocol_overlap_reads_one_aligned_window(monkeypatch):
 
     monkeypatch.setattr(model, "hermitian_eig", eig)
     monkeypatch.setattr(evolve, "trotter_step", step)
-    # (j, the stack sizes solved, hi: segments 1..hi-1 streamed, none for hi = 1)
-    for j, eigs, hi in ((0, [4], 4), (3, [], 1), (5, [4, 1], 8), (7, [], 1), (2, [4], 4),
-                        (15, [4, 1], 16), (13, [], 1)):
-        eig_sizes.clear(), segment_fields.clear()
+    # (j, the window lo..hi-1 a miss solves and streams, None for a hit)
+    for j, window in ((0, (0, 4)), (3, None), (5, (4, 8)), (7, None), (2, (0, 4)),
+                      (15, (12, 16)), (13, None)):
+        fields.clear(), eig_sizes.clear(), segment_fields.clear()
         protocol_overlap(cfg, j)
-        assert eig_sizes == eigs and segment_fields == cfg.field(np.arange(1, hi)).tolist(), j
+        lo, hi = window or (0, 1)
+        stacks = [cfg.field(np.r_[lo:hi, 0]).tolist()] if window else []
+        assert fields == stacks and eig_sizes == [len(f) for f in stacks], j
+        assert segment_fields == cfg.field(np.arange(1, hi)).tolist(), j
 
 
 def test_protocol_overlap_at_start():
