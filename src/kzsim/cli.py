@@ -10,7 +10,7 @@ reads it and never changes it, so ``parse_args`` stays pure, its result a
 function of its argv alone, whatever was parsed before.  It refuses only
 text it cannot read: every range is refused by the layer that owns it.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 I/O error.
+Exit codes (stderr prefixes): 0 success, 2 usage error, 3 error or invalid configuration, 4 i/o error.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from . import evolve, kzm, protocol
-from .errors import IoError, KzsimError, UsageError, ValidationError
+from .errors import InvalidConfiguration, IoError, KzsimError, UsageError
 
 # the model and sweep flags that several commands share, with their settings
 _FLAGS = {
@@ -73,7 +73,7 @@ def _floats(flag: str, text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"cannot parse {flag} {text!r}: {exc}") from None
+        raise InvalidConfiguration(f"cannot parse {flag} {text!r}: {exc}") from None
 
 
 def _parse_t2(text: str | None) -> tuple[float, ...] | None:

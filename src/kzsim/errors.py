@@ -1,67 +1,30 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one type per exit path.
 
 Each type carries the command-line exit code and the stderr prefix it is
-reported with.
+reported with.  No two share both, except IndexOutOfRange, which is
+KzsimError's path for an index that is also an IndexError.
 """
 
 
 class KzsimError(Exception):
-    """Base class for all package-specific errors."""
+    """Base of every refusal, and itself the refusal of a computation that
+    cannot go on: a non-Hermitian or misshapen matrix, a failed eigensolver,
+    a degenerate ground state, a closed gap, or a preparation that misses
+    the ground state."""
 
     exit_code = 3
     prefix = "error"
 
 
-class _InvalidConfiguration(KzsimError):
+class InvalidConfiguration(KzsimError):
+    """A parameter, sweep configuration, T2 pair, work estimate, figure id or
+    command-line value is outside the range its layer accepts."""
+
     prefix = "invalid configuration"
-
-
-class NonHermitianInput(KzsimError):
-    """Matrix handed to a Hermitian-only routine violates the symmetry tolerance."""
-
-
-class DimensionMismatch(KzsimError):
-    """Operands have incompatible or unsupported dimensions."""
-
-
-class DegenerateGround(KzsimError):
-    """Ground state is not unique (gap below tolerance)."""
-
-
-class GapClosed(KzsimError):
-    """Energy gap too small to define a relaxation time."""
-
-
-class NoConvergence(KzsimError):
-    """The eigensolver failed: LAPACK raised LinAlgError or returned a non-finite result."""
-
-
-class ConfigInconsistent(_InvalidConfiguration):
-    """Sweep configuration is out of range or describes no whole scan."""
-
-
-class InvalidT2(_InvalidConfiguration):
-    """Dephasing requested with missing or non-positive T2 times."""
 
 
 class IndexOutOfRange(KzsimError, IndexError):
     """Segment index outside the configured scan."""
-
-
-class NoValidBranch(KzsimError):
-    """The preparation angles do not reproduce the ground state (fidelity below 1 - 1e-6)."""
-
-
-class InvalidParam(_InvalidConfiguration):
-    """Parameter outside its admissible range."""
-
-
-class WorkLimitExceeded(_InvalidConfiguration):
-    """A run would take more propagator steps than the work limit allows."""
-
-
-class UnknownFigure(_InvalidConfiguration):
-    """Requested figure id is not one of the reproducible datasets."""
 
 
 class UsageError(KzsimError):
@@ -69,10 +32,6 @@ class UsageError(KzsimError):
 
     exit_code = 2
     prefix = "usage error"
-
-
-class ValidationError(_InvalidConfiguration):
-    """Command line parsed but carries invalid values."""
 
 
 class IoError(KzsimError):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import ConfigInconsistent, InvalidT2, WorkLimitExceeded
+from .errors import InvalidConfiguration
 from .model import FIELD_LIMIT, ModelParams, SIGMA_Y
 from .smallmat import hermitian_eig, unitary_step
 
@@ -66,7 +66,7 @@ def _require(*, positive: bool = False, **values: float) -> None:
     for name, value in values.items():
         if not (value > 0 if positive else abs(value) <= FIELD_LIMIT) or not math.isfinite(value):
             kind = "positive and finite" if positive else f"finite with |{name}| <= {FIELD_LIMIT:g}"
-            raise ConfigInconsistent(f"{name} must be {kind}, got {value}")
+            raise InvalidConfiguration(f"{name} must be {kind}, got {value}")
 
 
 def _delta(k: float, delta_b: float) -> float:
@@ -76,7 +76,7 @@ def _delta(k: float, delta_b: float) -> float:
     delta = delta_b / k
     if not 0 < delta < math.inf:
         how = "overflows" if delta else "underflows"
-        raise ConfigInconsistent(f"the segment duration delta_b / k {how} at k = {k}, delta_b = {delta_b}")
+        raise InvalidConfiguration(f"the segment duration delta_b / k {how} at k = {k}, delta_b = {delta_b}")
     return delta
 
 
@@ -105,30 +105,30 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise ConfigInconsistent(f"segment count must be an integer, got {self.steps!r}")
+            raise InvalidConfiguration(f"segment count must be an integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))  # numpy products wrap or warn
         if not abs(self.steps) < 2 ** 1023:
-            raise ConfigInconsistent(f"segment count |steps| = {_count(abs(self.steps))} overflows a float")
+            raise InvalidConfiguration(f"segment count |steps| = {_count(abs(self.steps))} overflows a float")
         _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
         _require(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
         if self.bx < 0:
-            raise ConfigInconsistent(f"transverse field must be >= 0, got {self.bx}")
+            raise InvalidConfiguration(f"transverse field must be >= 0, got {self.bx}")
         if self.steps < 0:
-            raise ConfigInconsistent(f"segment count must be >= 0, got {self.steps}")
+            raise InvalidConfiguration(f"segment count must be >= 0, got {self.steps}")
         if self.backend not in BACKENDS:
-            raise ConfigInconsistent(f"unknown backend {self.backend!r}")
+            raise InvalidConfiguration(f"unknown backend {self.backend!r}")
         if self.backend == "trotter":
             phase = 2 * self.delta * max(abs(self.bx), 2 * abs(self.b0) + 1, 2 * abs(self.bz_end) + 1)
             if not math.isfinite(phase):
-                raise ConfigInconsistent(
+                raise InvalidConfiguration(
                     f"trotter phase per segment overflows: delta = {self.delta} with"
                     f" bx = {self.bx}, bz in [{self.b0}, {self.bz_end}]")
         _check_work(_work(self), f"scan needs {_count(_work(self))} propagator steps"
                                  f" ({_count(self.steps)} segments x {_count(_substeps(self))})")
         if self.t2 is not None and not (len(self.t2) == 2 and all(0 < x < math.inf for x in self.t2)):
-            raise InvalidT2(f"T2 must be two positive finite times, got {self.t2}")
+            raise InvalidConfiguration(f"T2 must be two positive finite times, got {self.t2}")
         if not math.isfinite(self.steps * self.delta):
-            raise ConfigInconsistent(f"scan time t = {self.steps} x delta = {self.delta} overflows")
+            raise InvalidConfiguration(f"scan time t = {self.steps} x delta = {self.delta} overflows")
 
     @property
     def delta_b(self) -> float:
@@ -161,16 +161,16 @@ class SweepConfig:
         delta = _delta(k, delta_b)
         _require(b0=b0, bz_end=bz_end)
         if not bz_end > b0:
-            raise ConfigInconsistent(f"scan window [{b0}, {bz_end}] is empty: bz_end must exceed b0")
+            raise InvalidConfiguration(f"scan window [{b0}, {bz_end}] is empty: bz_end must exceed b0")
         segments = (bz_end - b0) / delta_b
         if segments == math.inf:
-            raise WorkLimitExceeded(f"scan window [{b0}, {bz_end}] needs {segments}"
-                                    f" segments of delta_b = {delta_b}")
+            raise InvalidConfiguration(f"scan window [{b0}, {bz_end}] needs {segments}"
+                                       f" segments of delta_b = {delta_b}")
         steps = int(round(segments))
         # bz_end - b0 carries a rounding error of about ulp(max(|b0|, |bz_end|))
         tol = 1e-9 + 4 * math.ulp(max(abs(b0), abs(bz_end)))
         if steps <= 0 or abs(steps * delta_b - (bz_end - b0)) > tol:
-            raise ConfigInconsistent(
+            raise InvalidConfiguration(
                 f"scan window [{b0}, {bz_end}] is not a whole number of"
                 f" delta_b = {delta_b} segments"
             )
@@ -243,7 +243,7 @@ def _check_work(work: int | float, needs: str) -> None:
     """Refuse ``work`` propagator steps above MAX_SUBSTEPS; ``needs`` says
     what needs them and how many."""
     if work > MAX_SUBSTEPS:
-        raise WorkLimitExceeded(f"{needs}, above the limit of {MAX_SUBSTEPS}")
+        raise InvalidConfiguration(f"{needs}, above the limit of {MAX_SUBSTEPS}")
 
 
 def _substeps(cfg: SweepConfig) -> int | float:
@@ -396,7 +396,7 @@ def phase_damping_factors(cfg: SweepConfig) -> np.ndarray:
     the physical duration of one segment in seconds.
     """
     if cfg.t2 is None:
-        raise InvalidT2("config carries no T2 times")
+        raise InvalidConfiguration("config carries no T2 times")
     dt = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
     # one factor per qubit, exp(-dt/T2_i) where its bit flips; their Kronecker
     # product, as in model._both, follows the basis order |q1 q2>

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, model
-from .errors import InvalidParam, UnknownFigure
+from .errors import InvalidConfiguration
 from .evolve import SweepConfig
 from .model import ModelParams
 from .smallmat import DEGENERACY_TOL, hermitian_eig
@@ -51,13 +51,13 @@ class KzmParams:
         for name in ("tau_q", "tau_0", "alpha"):
             v = getattr(self, name)
             if v <= 0 or not math.isfinite(v):
-                raise InvalidParam(f"{name} must be positive, got {v}")
+                raise InvalidConfiguration(f"{name} must be positive, got {v}")
         # the closed forms take 4/x^2: x, x^2 and 4/x^2 must be finite and
         # nonzero (x^2 > 0 makes x > 0, and 4/x^2 > 0 when x^2 is finite)
         x2 = self.x_alpha * self.x_alpha
         if not (0 < x2 < math.inf and 4.0 / x2 < math.inf):
-            raise InvalidParam(f"x_alpha = alpha tau_q / tau_0 = {self.x_alpha} is out of range:"
-                               f" x_alpha^2 and 4/x_alpha^2 must be finite and nonzero")
+            raise InvalidConfiguration(f"x_alpha = alpha tau_q / tau_0 = {self.x_alpha} is out of range:"
+                                       f" x_alpha^2 and 4/x_alpha^2 must be finite and nonzero")
 
     @property
     def x_alpha(self) -> float:
@@ -93,7 +93,7 @@ class ScalingFit:
 def quench_time(bx: float, k: float) -> float:
     """tau_q = sqrt(2) bx / k."""
     if bx <= 0 or k <= 0 or not (math.isfinite(bx) and math.isfinite(k)):
-        raise InvalidParam(f"need bx > 0 and k > 0, got bx={bx}, k={k}")
+        raise InvalidConfiguration(f"need bx > 0 and k > 0, got bx={bx}, k={k}")
     return math.sqrt(2) * bx / k
 
 
@@ -101,7 +101,7 @@ def tau0(bx: float) -> float:
     """Maximal relaxation time 1/(2 sqrt(2) bx)."""
     gap = 2.0 * math.sqrt(2) * bx
     if not 0 < gap < math.inf:
-        raise InvalidParam(f"need bx > 0 and a finite gap 2 sqrt(2) bx, got bx={bx}")
+        raise InvalidConfiguration(f"need bx > 0 and a finite gap 2 sqrt(2) bx, got bx={bx}")
     return 1.0 / gap
 
 
@@ -117,8 +117,8 @@ def freeze_out(p: KzmParams) -> tuple[float, float]:
     eps_hat = math.sqrt(_eps_sq(p))
     t_hat = eps_hat * p.tau_q
     if not 0 < t_hat < math.inf:
-        raise InvalidParam(f"t_hat = eps_hat tau_q = {t_hat} is out of range: eps_hat = {eps_hat},"
-                           f" tau_q = {p.tau_q}")
+        raise InvalidConfiguration(f"t_hat = eps_hat tau_q = {t_hat} is out of range: eps_hat = {eps_hat},"
+                                   f" tau_q = {p.tau_q}")
     return t_hat, eps_hat
 
 
@@ -142,17 +142,17 @@ def fit_scaling(points) -> tuple[float, float]:
     """
     kept = sorted((x, d) for x, d in points if d >= _FIT_EXCLUDE_BELOW)
     if len(kept) < 2:
-        raise InvalidParam("need at least two usable points to fit")
+        raise InvalidConfiguration("need at least two usable points to fit")
     x = np.array([q[0] for q in kept])
     y = np.log(np.array([q[1] for q in kept]))
     if (x == x[0]).all() or (y == y[0]).all():
-        raise InvalidParam("degenerate point set for the fit")
+        raise InvalidConfiguration("degenerate point set for the fit")
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
     syy = float(np.sum((y - ym) ** 2))
     if sxx == 0.0 or syy == 0.0:  # distinct values whose squared spread underflows
-        raise InvalidParam("degenerate point set for the fit")
+        raise InvalidConfiguration("degenerate point set for the fit")
     slope = sxy / sxx
     r = abs(sxy / math.sqrt(sxx * syy))
     return -slope, r
@@ -162,7 +162,7 @@ def _tau_ratio(cfg: SweepConfig) -> float:
     """tau_q/tau_0 = 4 bx^2/k of a scan, refused when it overflows."""
     x = quench_time(cfg.bx, cfg.k) / tau0(cfg.bx)
     if not math.isfinite(x):
-        raise InvalidParam(f"tau_q/tau_0 = 4 bx^2/k overflows at bx={cfg.bx}, k={cfg.k}")
+        raise InvalidConfiguration(f"tau_q/tau_0 = 4 bx^2/k overflows at bx={cfg.bx}, k={cfg.k}")
     return x
 
 
@@ -210,13 +210,13 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     window ends whose levels are not split beyond smallmat.DEGENERACY_TOL.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
-        raise InvalidParam(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
+        raise InvalidConfiguration(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
     half_window = 10.0 * math.sqrt(2) * bx
     duration = 2.0 * half_window / k
     if not 0 < duration < math.inf:
         hint = "a larger k or a smaller bx" if duration else "a smaller k or a larger bx"
-        raise InvalidParam(f"the crossing window lasts 20 sqrt(2) bx / k = {duration} time units"
-                           f" at bx={bx}, k={k}; use {hint}")
+        raise InvalidConfiguration(f"the crossing window lasts 20 sqrt(2) bx / k = {duration} time units"
+                                   f" at bx={bx}, k={k}; use {hint}")
     sweep = SweepConfig(bx, k, delta=duration, steps=1, b0=-1.0 - half_window)
     fields = sweep.field(np.arange(2))
     ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
@@ -225,8 +225,8 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     # +-gap/2, so that scale exceeds 1 only for a gap above 2, which passes anyway
     for gap in ends.gap:
         if not gap > DEGENERACY_TOL:
-            raise InvalidParam(f"the levels at a window end are split by {gap:.3g}, within"
-                               f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
+            raise InvalidConfiguration(f"the levels at a window end are split by {gap:.3g}, within"
+                                       f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
     segment = next(evolve._segment_unitaries(sweep, hamiltonian=model.effective_hamiltonian))
     psi = evolve._advance(ends.eigenvectors[0, :, 0], segment)
     p_numeric = float(abs(np.vdot(ends.eigenvectors[1, :, 1], psi)) ** 2)
@@ -335,7 +335,7 @@ def reproduce_figure(figure_id: str) -> FigureData:
     try:
         note, header, builder = _FIGURES[figure_id]
     except KeyError:
-        raise UnknownFigure(
+        raise InvalidConfiguration(
             f"unknown figure {figure_id!r}; choose from {', '.join(FIGURE_IDS)}"
         ) from None
     return FigureData(

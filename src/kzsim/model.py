@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGround, GapClosed, InvalidParam
+from .errors import InvalidConfiguration, KzsimError
 from .smallmat import SpectralData, hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,7 +35,6 @@ IDENT2 = np.eye(2, dtype=complex)
 KET_00 = np.array([1, 0, 0, 0], dtype=complex)
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
 PHI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-PHI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
 X1X2 = np.kron(SIGMA_X, IDENT2) + np.kron(IDENT2, SIGMA_X)
 Z1Z2_SUM = np.kron(SIGMA_Z, IDENT2) + np.kron(IDENT2, SIGMA_Z)
@@ -73,13 +72,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if isinstance(self.bz, np.ndarray) and self.bz.ndim != 1:
-            raise InvalidParam(f"bz must be a number or a 1-D array, got shape {self.bz.shape}")
+            raise InvalidConfiguration(f"bz must be a number or a 1-D array, got shape {self.bz.shape}")
         for name, value in (("bx", self.bx), ("bz", self.bz)):
             bad = _first_outside(value)
             if bad is not None:
-                raise InvalidParam(f"{name} must be finite with |{name}| <= {FIELD_LIMIT:g}, got {bad}")
+                raise InvalidConfiguration(f"{name} must be finite with |{name}| <= {FIELD_LIMIT:g}, got {bad}")
         if self.bx < 0:
-            raise InvalidParam(f"transverse field must be >= 0, got {self.bx}")
+            raise InvalidConfiguration(f"transverse field must be >= 0, got {self.bx}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def _ground(bx: float, bz: float, w: np.ndarray, v: np.ndarray) -> GroundState:
     """Ground state at one field from its triplet eigenpairs w, v, unless degenerate."""
     gap = w[1] - w[0]
     if gap < 1e-12:
-        raise DegenerateGround(
+        raise KzsimError(
             f"ground state degenerate at bx={bx}, bz={bz} (gap {gap:.2e})"
         )
     vec = v[:, 0]
@@ -176,6 +175,6 @@ def relaxation_time(p: ModelParams) -> float | np.ndarray:
     gap = triplet_spectrum(p).gap
     closed = np.asarray(gap) <= 1e-14
     if closed.any():
-        raise GapClosed(f"gap closed at bx={p.bx}, bz={np.extract(closed, p.bz)[0]}")
+        raise KzsimError(f"gap closed at bx={p.bx}, bz={np.extract(closed, p.bz)[0]}")
     return 1.0 / gap
 

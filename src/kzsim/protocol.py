@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import evolve, model
-from .errors import ConfigInconsistent, IndexOutOfRange, NoValidBranch
+from .errors import IndexOutOfRange, InvalidConfiguration, KzsimError
 from .evolve import SweepConfig, _advance
 from .model import GroundState, KET_00, ModelParams, _both
 
@@ -110,7 +110,7 @@ def prep_angles(g: GroundState) -> PrepAngles:
 
     beta is wrapped to [-pi, pi).  The prepared state is checked: a fidelity
     below 1 - 1e-6, which only inputs off the unit sphere or with
-    |c0 + c1| > 1 reach, raises NoValidBranch.
+    |c0 + c1| > 1 reach, raises KzsimError.
     """
     return _prep(g)[0]
 
@@ -125,7 +125,7 @@ def _prep(g: GroundState) -> tuple[PrepAngles, np.ndarray]:
     p = prep_operator(a)
     fid = abs(np.vdot(g.vector(), p @ KET_00)) ** 2
     if fid < 1.0 - _FIDELITY_TOL:
-        raise NoValidBranch(f"the preparation does not reproduce the ground state (fidelity {fid})")
+        raise KzsimError(f"the preparation does not reproduce the ground state (fidelity {fid})")
     return a, p
 
 
@@ -205,5 +205,5 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     )
     for e in (*sched.entries(), ("total delay", sched.total_duration())):
         if not all(math.isfinite(x) for x in e[1:] if not isinstance(x, str)):
-            raise ConfigInconsistent(f"schedule entry {e} is not finite at J = {cfg.j_hz} Hz")
+            raise InvalidConfiguration(f"schedule entry {e} is not finite at J = {cfg.j_hz} Hz")
     return sched

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonHermitianInput
+from .errors import KzsimError
 
 HERMITIAN_TOL = 1e-12
 # eigenvalues closer than this (relative to the spectral scale) are treated
@@ -69,16 +69,16 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
     each matrix of a stack (N, n, n), ordered by ``_order`` and phased by
     ``_fix_phases``.
 
-    Raises NonHermitianInput for a non-finite entry, max|M - M^dag| above
-    1e-12 or an overflowing (M + M^dag)/2 (in any member of a stack), and
-    NoConvergence when LAPACK fails or returns a non-finite result.
+    Raises KzsimError for any other shape, a non-finite entry, max|M - M^dag|
+    above 1e-12 or an overflowing (M + M^dag)/2 (in any member of a stack),
+    and when LAPACK fails or returns a non-finite result.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
+        raise KzsimError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
     if not 2 <= n <= 4:
-        raise DimensionMismatch(f"dimension {n} outside the supported range 2..4")
+        raise KzsimError(f"dimension {n} outside the supported range 2..4")
     stack = a.reshape(-1, n, n)  # a single matrix as a stack of one
     herm = np.swapaxes(stack.conj(), -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # both checked below
@@ -87,17 +87,17 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
         defect = 0.0 if (stack == herm).all() else float(np.max(np.abs(stack - herm), initial=0.0))
     finite = np.isfinite(sym).all()  # a non-finite entry of a makes one of sym
     if not (finite or np.isfinite(a).all()):
-        raise NonHermitianInput("matrix entries must be finite")
+        raise KzsimError("matrix entries must be finite")
     if defect > HERMITIAN_TOL:
-        raise NonHermitianInput(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
+        raise KzsimError(f"max|M - M^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
     if not finite:
-        raise NonHermitianInput("(M + M^dag)/2 overflows; entries must stay below ~9e307")
+        raise KzsimError("(M + M^dag)/2 overflows; entries must stay below ~9e307")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition of a {n}x{n} matrix failed: {exc}") from None
+        raise KzsimError(f"eigendecomposition of a {n}x{n} matrix failed: {exc}") from None
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
-        raise NoConvergence(f"eigendecomposition of a {n}x{n} matrix is not finite")
+        raise KzsimError(f"eigendecomposition of a {n}x{n} matrix is not finite")
     w, v = _order(w, v)
     v = _fix_phases(v)
     gap = w[:, 1] - w[:, 0]

@@ -23,6 +23,10 @@ from kzsim.smallmat import DEGENERACY_TOL
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
 
+# the singlet (|01> - |10>)/sqrt(2), which every Hamiltonian of the model
+# leaves uncoupled from the triplet
+PHI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
+
 
 def cardano_eigvals3(m: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a real symmetric 3x3 matrix.

@@ -10,11 +10,11 @@ import numpy as np
 from kzsim import evolve, kzm, model, protocol
 from kzsim.evolve import SweepConfig, scan, trotter_step
 from kzsim.kzm import KzmParams, freeze_out, predicted_defects
-from kzsim.model import KET_00, ModelParams, PHI_MINUS, PHI_PLUS, ground_vector
+from kzsim.model import KET_00, ModelParams, PHI_PLUS, ground_vector
 from kzsim.smallmat import unitary_step
 
 from helpers import segment_unitaries
-from oracles import freeze_out_bisection, random_hermitian
+from oracles import PHI_MINUS, freeze_out_bisection, random_hermitian
 
 EXPERIMENT_SETS = [(bx, k) for bx in (0.1, 0.2) for k in (1.0, 0.5, 1 / 3, 0.25)]
 

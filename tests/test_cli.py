@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kzsim import cli, evolve, protocol
-from kzsim.errors import UsageError, ValidationError
+from kzsim.errors import InvalidConfiguration, UsageError
 
 HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "5e-309", "1e308", "1e200", "-1e9", "", "x",
            "1,2,3", "-1,1")
@@ -156,6 +156,11 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys):
             assert run(argv, tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: ") and cause in err, err
+    # a degenerate start is refused by the computation, under exit 3's other prefix
+    with monkeypatch.context() as refused:
+        refuse_propagators(refused)
+        assert run(["scan", "--bx", "0", "--b0", "-1"], tmp_path, monkeypatch) == 3
+    assert capsys.readouterr().err == "error: ground state degenerate at bx=0.0, bz=-1.0 (gap 0.00e+00)\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -342,7 +347,7 @@ def test_print_config(capsys):
         assert json.loads(capsys.readouterr().out)["params"][key] == 0.0
 
 
-# valid argv, usage errors and validation errors, for the parser-reuse tests
+# valid argv, usage errors and unreadable values, for the parser-reuse tests
 REUSE = (["scan", "--bx", "0.2", "--k", "0.5", "--t2", "2,0.2"], ["sweep", "--bx", "0.1"],
          ["sweep", "--bx", "0.1", "--bx", "0.2", "--k-grid", "1,0.5"],
          ["fit", "--k-grid", "experiment", "--backend", "trotter"], ["figure", "fig3"],
@@ -355,7 +360,7 @@ REUSE = (["scan", "--bx", "0.2", "--k", "0.5", "--t2", "2,0.2"], ["sweep", "--bx
 def _parsed(argv):
     try:
         return cli.parse_args(argv).normalized()
-    except (UsageError, ValidationError) as exc:
+    except (InvalidConfiguration, UsageError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -378,7 +383,7 @@ def test_parser_reuse_cannot_be_observed(capsys):
         assert {tuple(argv): outcome(argv) for argv in order} == fresh
     assert sum(isinstance(v, str) for v in fresh.values()) == 11
     assert {v[0] for v in fresh.values() if isinstance(v, tuple)} == {
-        "UsageError", "ValidationError", 0}
+        "InvalidConfiguration", "UsageError", 0}
 
 
 def test_append_does_not_accumulate():

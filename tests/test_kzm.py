@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kzsim import evolve, kzm
-from kzsim.errors import InvalidParam, UnknownFigure
+from kzsim.errors import InvalidConfiguration
 from kzsim.kzm import (KzmParams, fit_scaling, freeze_out,
                        lz_check, predicted_defects, quench_time,
                        reproduce_figure, run_scaling_sweep, tau0)
@@ -25,10 +25,10 @@ def test_quench_time_and_tau0():
     assert tau0(0.1) == pytest.approx(3.53553, abs=1e-5)
     assert quench_time(0.2, 0.25) / tau0(0.2) == pytest.approx(0.64)
     for bx, k in ((-0.1, 1.0), (0.0, 1.0), (0.1, 0.0)):
-        with pytest.raises(InvalidParam):
+        with pytest.raises(InvalidConfiguration, match=f"^need bx > 0 and k > 0, got bx={bx}, k={k}$"):
             quench_time(bx, k)
     for bx in (0.0, 1e308):  # no gap, and a gap that overflows
-        with pytest.raises(InvalidParam):
+        with pytest.raises(InvalidConfiguration, match=r"^need bx > 0 and a finite gap 2 sqrt\(2\) bx"):
             tau0(bx)
 
 
@@ -72,12 +72,14 @@ def test_freeze_out_matches_bisection(log_tau_q, log_tau_0, log_alpha):
 def test_freeze_out_on_extreme_floats(tau_q, tau_0, alpha):
     try:
         p = KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)
-    except InvalidParam:
+    except InvalidConfiguration as exc:
+        assert str(exc).startswith("x_alpha = "), exc
         return
     assert 0 <= predicted_defects(p) <= 1
     try:
         t_hat, eps_hat = freeze_out(p)
-    except InvalidParam:
+    except InvalidConfiguration as exc:
+        assert str(exc).startswith("t_hat = "), exc
         return
     assert 0 < eps_hat < math.inf
     assert 0 < t_hat < math.inf
@@ -108,7 +110,7 @@ def test_fit_scaling_excludes_tiny_defects():
     pts = [(x, math.exp(-1.0 * x)) for x in np.linspace(0.1, 1.0, 8)]
     alpha_hat, r = fit_scaling(pts + [(50.0, 1e-30)])
     assert alpha_hat == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^need at least two usable points to fit$"):
         fit_scaling([(1.0, 1e-30), (2.0, 1e-30)])
     # a defect of exactly 1e-6 is kept
     assert fit_scaling([(1.0, 1e-3), (2.0, 1e-6)])[0] == pytest.approx(math.log(1e3))
@@ -121,7 +123,7 @@ def test_fit_scaling_refuses_repeated_rates():
         for x, d in ((0.04, 0.7316), (0.08, 0.5), (0.16, 1.0 / 3.0)):
             for pts in ([(x, d)] * n, [(x, d * (1 - i / (2 * n))) for i in range(n)],
                         [(x * (1 + i), d) for i in range(n)]):
-                with pytest.raises(InvalidParam, match="degenerate point set"):
+                with pytest.raises(InvalidConfiguration, match="degenerate point set"):
                     fit_scaling(pts)
 
 
@@ -156,9 +158,9 @@ def test_lz_check_adiabatic_limit():
 
 def test_lz_check_invalid():
     for bx, k in ((0.1, 0.0), (0.0, 1.0)):
-        with pytest.raises(InvalidParam, match="need finite bx > 0"):
+        with pytest.raises(InvalidConfiguration, match="need finite bx > 0"):
             lz_check(bx, k)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^need finite bx > 0 and k > 0, got bx=nan, k=1.0$"):
         lz_check(float("nan"), 1.0)
 
 
@@ -181,7 +183,7 @@ def test_lz_check_chunking_keeps_bits(monkeypatch):
 
 
 def test_reproduce_figure_unknown():
-    with pytest.raises(UnknownFigure):
+    with pytest.raises(InvalidConfiguration, match="^unknown figure 'fig7'; choose from fig1a, "):
         reproduce_figure("fig7")
 
 
@@ -245,16 +247,16 @@ def test_figure_concurrence_dataset():
 
 def test_invalid_kzm_params():
     for tau_q, tau_0 in ((-1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(InvalidParam, match="must be positive"):
+        with pytest.raises(InvalidConfiguration, match="must be positive"):
             KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=1.0)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^alpha must be positive, got 0.0$"):
         KzmParams(tau_q=1.0, tau_0=1.0, alpha=0.0)
     # x_alpha^2 underflows, 4/x_alpha^2 overflows, or x_alpha overflows:
     # the closed forms would give NaN, divide by zero or return t_hat = 0
     for tau_q, tau_0, alpha in ((1e-160, 1.0, 1.0), (1e-200, 1.0, 1.0), (1e300, 1e-10, 1e10)):
-        with pytest.raises(InvalidParam, match="x_alpha"):
+        with pytest.raises(InvalidConfiguration, match="x_alpha"):
             KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha)
     # in the domain, t_hat = eps_hat tau_q would overflow to inf or underflow to 0
     for tau_q, tau_0, alpha in ((1e300, 1e300, 1e-150), (1e-300, 1e-300, 1e150)):
-        with pytest.raises(InvalidParam, match="t_hat"):
+        with pytest.raises(InvalidConfiguration, match="t_hat"):
             freeze_out(KzmParams(tau_q=tau_q, tau_0=tau_0, alpha=alpha))

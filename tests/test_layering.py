@@ -34,3 +34,14 @@ def test_package_root_binds_only_its_version():
     public = [name for name, obj in vars(root).items()
               if not name.startswith("_") and not inspect.ismodule(obj)]
     assert public == [] and root.__version__
+
+
+def test_each_exit_path_has_one_exception_type():
+    # cli.main reports a refusal by its exit code and stderr prefix alone, so two
+    # types on one path are told apart only by tests; IndexOutOfRange adds IndexError
+    errors = importlib.import_module("kzsim.errors")
+    paths = sorted((obj.exit_code, obj.prefix) for name, obj in vars(errors).items()
+                   if inspect.isclass(obj) and issubclass(obj, errors.KzsimError)
+                   and not name.startswith("_") and obj is not errors.IndexOutOfRange)
+    assert paths == [(2, "usage error"), (3, "error"), (3, "invalid configuration"),
+                     (4, "i/o error")], paths

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from kzsim import model
-from kzsim.errors import DegenerateGround, GapClosed, InvalidParam
-from kzsim.model import (ModelParams, PHI_MINUS, driven_hamiltonian,
+from kzsim.errors import InvalidConfiguration, KzsimError
+from kzsim.model import (ModelParams, driven_hamiltonian,
                          effective_hamiltonian, ground_state, ground_vector,
                          relaxation_time, triplet_block, triplet_spectrum)
 
-from oracles import cardano_eigvals3, effective_relaxation_time
+from oracles import PHI_MINUS, cardano_eigvals3, effective_relaxation_time
 
 TAU0_01 = 1.0 / (2.0 * math.sqrt(2) * 0.1)
 
@@ -106,7 +106,7 @@ def test_ground_state_pure_phases():
 
 
 def test_degenerate_ground_raises():
-    with pytest.raises(DegenerateGround):
+    with pytest.raises(KzsimError, match=r"^ground state degenerate at bx=0\.0, bz=-1\.0 \(gap "):
         ground_state(ModelParams(bx=0.0, bz=-1.0))
 
 
@@ -116,7 +116,7 @@ def test_relaxation_time_values():
     # eps = 1 at bz + 1 = sqrt(2) * bx
     bz = -1.0 + math.sqrt(2) * 0.1
     assert effective_relaxation_time(0.1, bz) == pytest.approx(TAU0_01 / math.sqrt(2))
-    with pytest.raises(GapClosed):
+    with pytest.raises(KzsimError, match=r"^gap closed at bx=0\.0, bz=-1\.0$"):
         relaxation_time(ModelParams(bx=0.0, bz=-1.0))
 
 
@@ -170,14 +170,14 @@ def test_ground_continuity_along_sweep():
 
 
 def test_invalid_params():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^transverse field must be >= 0, got -0.1$"):
         ModelParams(bx=-0.1, bz=0.0)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^bx must be finite with .* got nan$"):
         ModelParams(bx=math.nan, bz=0.0)
     limit = model.FIELD_LIMIT
     ModelParams(bx=limit, bz=np.array([-limit, limit]))
     for bx, bz in ((1e200, 0.0), (0.1, -1e200), (0.1, np.array([0.0, 1e200]))):
-        with pytest.raises(InvalidParam, match=f"must be finite with .* got -?1e\\+200"):
+        with pytest.raises(InvalidConfiguration, match=f"must be finite with .* got -?1e\\+200"):
             ModelParams(bx=bx, bz=bz)
 
 
@@ -205,14 +205,14 @@ def test_stacked_spectra_match_single_fields():
     taus = relaxation_time(ModelParams(bx=0.15, bz=bz))
     single = [relaxation_time(ModelParams(bx=0.15, bz=float(b))) for b in bz]
     assert taus.tobytes() == np.array(single).tobytes()
-    with pytest.raises(GapClosed, match="bz=-1.0"):
+    with pytest.raises(KzsimError, match=r"^gap closed at bx=0\.0, bz=-1\.0$"):
         relaxation_time(ModelParams(bx=0.0, bz=np.array([-2.0, -1.0, 0.5])))
 
 
 def test_field_array_validated_elementwise():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match="^bz must be finite with .* got nan$"):
         ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidConfiguration, match=r"^bz must be a number or a 1-D array, got shape \(2, 2\)"):
         ModelParams(bx=0.1, bz=np.zeros((2, 2)))
 
 
