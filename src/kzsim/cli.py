@@ -2,8 +2,8 @@
 
 Subcommands cover the full analysis surface: single scans, scaling sweeps,
 fits, figure datasets, pulse schedules and the two-level crossing check.
-All computations are deterministic, outputs are written atomically (temp
-file plus rename) and floats are serialized at 12 significant digits, so
+All computations are deterministic, each artifact is written once and
+atomically (temp file plus rename), and floats by ``evolve._number``, so
 identical invocations produce byte-identical files.  The argument parser is
 built once per process, on the first ``parse_args``, and cached: parsing
 reads it and never changes it, so ``parse_args`` stays pure, its result a
@@ -61,12 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: D401 - argparse hook
         raise UsageError(message)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
 
 
 def _floats(flag: str, text: str) -> tuple[float, ...]:
@@ -169,63 +163,47 @@ def _atomic_write(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _rows_to_csv(note: str, header, rows) -> str:
-    lines = [f"# {note}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def execute(cfg: RunConfig) -> int:
-    """Run one parsed command and write its artifact; its layers refuse bad values."""
+    """Run one parsed command: compute its artifact text and summary line, write
+    the artifact once, atomically, then any summary; its layers refuse bad values."""
+    p, num, summary = cfg.params, evolve._number, ""
     if cfg.command == "scan":
-        trace = evolve.scan(evolve.SweepConfig.from_rate(**cfg.params))
-        _atomic_write(cfg.out, trace.to_csv())
-    elif cfg.command == "sweep":
-        fit = kzm.run_scaling_sweep(**cfg.params)
-        body = _rows_to_csv(
-            f"scaling sweep: bx={list(cfg.params['bx_values'])},"
-            f" backend={cfg.params['backend']}",
-            ("tau_ratio", "defect"),
-            fit.points,
-        )
-        _atomic_write(cfg.out, body)
+        text = evolve.scan(evolve.SweepConfig.from_rate(**p)).to_csv()
+    elif cfg.command in ("sweep", "figure"):
+        if cfg.command == "sweep":
+            note = f"scaling sweep: bx={list(p['bx_values'])}, backend={p['backend']}"
+            header, rows = ("tau_ratio", "defect"), kzm.run_scaling_sweep(**p).points
+        else:
+            data = kzm.reproduce_figure(p["figure_id"])
+            note, header, rows = f"{data.figure_id}: {data.note}", data.header, data.rows
+        text = "\n".join([f"# {note}", ",".join(header),
+                          *(",".join(map(num, row)) for row in rows)]) + "\n"
     elif cfg.command == "fit":
-        fit = kzm.run_scaling_sweep(**cfg.params)
-        _atomic_write(cfg.out, json.dumps(fit.to_record(), sort_keys=True, indent=2) + "\n")
-        sys.stdout.write(
-            f"alpha_hat={_fmt(fit.alpha_hat)} r={_fmt(fit.r)} n={fit.n_points}\n"
-        )
-    elif cfg.command == "figure":
-        data = kzm.reproduce_figure(cfg.params["figure_id"])
-        _atomic_write(cfg.out, _rows_to_csv(
-            f"{data.figure_id}: {data.note}", data.header, data.rows))
+        fit = kzm.run_scaling_sweep(**p)
+        text = json.dumps(fit.to_record(), sort_keys=True, indent=2) + "\n"
+        summary = f"alpha_hat={num(fit.alpha_hat)} r={num(fit.r)} n={fit.n_points}\n"
     elif cfg.command == "schedule":
-        p = cfg.params
         sched = protocol.nmr_schedule(evolve.SweepConfig(
             p["bx"], p["k"], delta=evolve._delta(p["k"], p["delta_b"]), steps=p["j"], b0=p["b0"],
             backend="trotter", j_hz=p["j_hz"]))
-        _atomic_write(cfg.out, sched.to_text())
-        sys.stdout.write(
-            f"schedule with {p['j']} segments, total delay"
-            f" {_fmt(sched.total_duration())} s\n"
-        )
+        text = sched.to_text()
+        summary = f"schedule with {p['j']} segments, total delay {num(sched.total_duration())} s\n"
     elif cfg.command == "lz-check":
-        p_num, p_form = kzm.lz_check(cfg.params["bx"], cfg.params["k"])
-        record = {"p_numeric": p_num, "p_formula": p_form,
-                  "bx": cfg.params["bx"], "k": cfg.params["k"]}
-        _atomic_write(cfg.out, json.dumps(record, sort_keys=True, indent=2) + "\n")
-        sys.stdout.write(f"p_numeric={_fmt(p_num)} p_formula={_fmt(p_form)}\n")
+        p_num, p_form = kzm.lz_check(p["bx"], p["k"])
+        record = {"p_numeric": p_num, "p_formula": p_form, "bx": p["bx"], "k": p["k"]}
+        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        summary = f"p_numeric={num(p_num)} p_formula={num(p_form)}\n"
     else:
         raise UsageError(f"unknown command {cfg.command!r}")
+    _atomic_write(cfg.out, text)
+    if summary:
+        sys.stdout.write(summary)
     return 0
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        cfg = parse_args(argv)
-        return execute(cfg)
+        return execute(parse_args(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     except KzsimError as exc:

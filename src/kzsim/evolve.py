@@ -56,6 +56,8 @@ B0 = -1.5
 BZ_END = -0.2
 DELTA_B = 0.1
 J_HZ = 215.0
+# the one number rule of every artifact and summary line: 12 significant digits
+_DIGITS = "%.12g"
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -198,12 +200,17 @@ class ScanTrace:
         return float(self.defect[-1])
 
     def to_csv(self) -> str:
-        """Render as CSV with 12-significant-digit decimals."""
+        """Render as CSV, every value as ``_number`` writes it."""
         cols = (self.t, self.bz, self.defect, self.overlap,
                 self.a0, self.a1, self.a2, self.concurrence)
-        row = ",".join(["%.12g"] * len(cols))  # "%.12g" % x renders as format(x, ".12g")
+        row = ",".join([_DIGITS] * len(cols))  # all floats: one template per row
         lines = (row % r for r in zip(*(c.tolist() for c in cols)))
         return "\n".join([self.CSV_HEADER, *lines]) + "\n"
+
+
+def _number(value) -> str:
+    """A value as the artifacts write it: a float to ``_DIGITS``, else as str."""
+    return _DIGITS % value if isinstance(value, float) else str(value)
 
 
 def ramp(b0: float, k: float, t: float) -> float:

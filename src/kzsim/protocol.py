@@ -81,19 +81,17 @@ class PulseSchedule:
         return sum(e[1] for e in self.entries() if e[0] == "delay")
 
     def to_text(self) -> str:
-        """Line-oriented serialization with 12-significant-digit decimals."""
-        lines = []
+        """Line-oriented serialization, numbers as ``evolve._number`` writes them."""
+        num, lines = evolve._DIGITS, []  # the rule's spec: no call per number
         for e in self.entries():
             if e[0] == "pulse":
-                lines.append(f"PULSE {e[1]} {e[2]} {format(e[3], '.12g')}")
-            elif e[0] == "offset":
-                lines.append(f"OFFSET {format(e[1], '.12g')}")
-            elif e[0] == "delay":
-                lines.append(f"DELAY {format(e[1], '.12g')}")
+                lines.append(f"PULSE {e[1]} {e[2]} {num % e[3]}")
+            elif e[0] in ("offset", "delay"):
+                lines.append(f"{e[0].upper()} {num % e[1]}")
             elif e[0] == "crush":
                 lines.append("CRUSH")
             else:
-                raise ValueError(f"unknown schedule entry {e!r}")
+                raise KzsimError(f"unknown schedule entry {e!r}")
         return "\n".join(lines) + "\n"
 
 

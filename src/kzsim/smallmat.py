@@ -110,7 +110,7 @@ def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:
     """exp(-i * delta * h) for Hermitian h, or for each matrix of a stack
     (N, n, n), via eigendecomposition."""
     if not math.isfinite(delta):
-        raise ValueError(f"time step must be finite, got {delta}")
+        raise KzsimError(f"time step must be finite, got {delta}")
     sd = hermitian_eig(h)
     phases = np.exp(-1j * delta * sd.eigenvalues)
     v = sd.eigenvectors

@@ -2,10 +2,14 @@
 
 Run ``python3 tests/mutate.py > KILL_MATRIX.json`` from the checkout.  On a
 temporary copy it flips one comparison or arithmetic operator at a time and
-runs tier-1 without ``-x``, each run capped at CAP_S seconds.  A mutant's
-killers are the tests that pass at the parent and not at the mutant; a capped
-run names those it saw fail and the one it was in.  Nothing is written into
-the checkout.
+runs tier-1 without ``-x``, each run capped at CAP_S seconds.  A row names
+only what its run reported (``classify``): the killers are the tests that
+pass at the parent and that the run reported as not passing, or whose module
+it reported as not collected, plus the test a capped run was in; the tests
+it never reported are ``unseen``.  A row with unseen tests is run once more;
+``unstable`` marks one whose killers differ between its two runs, and
+``aborted`` one whose runs reported no test at all (the suite did not run).  Nothing is
+written into the checkout.
 """
 import ast
 import json
@@ -32,6 +36,8 @@ PYTEST = ("import sys, kzsim, pytest; from hypothesis import Phase, settings; "
           "print('kzsim from', kzsim.__file__, flush=True); "
           "sys.exit(pytest.main(['-v', '-p', 'no:cacheprovider', '--continue-on-collection-errors']))")
 RESULT = re.compile(r"^(tests/\S+::\S+) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)", re.M)
+# a module whose collection errored, as the short test summary names it
+UNCOLLECTED = re.compile(r"^ERROR (tests/[^\s:]+\.py)\b(?!::)", re.M)
 
 
 def sites(tree):
@@ -50,8 +56,17 @@ def sites(tree):
             yield node, None, node.op
 
 
+def classify(passing, out, running):
+    """The killers and the unseen tests among ``passing`` in the ``pytest -v``
+    transcript ``out`` of a run that was capped in the test ``running`` (else None)."""
+    seen = dict(RESULT.findall(out))
+    seen.update((t, "ERROR") for t in passing if t.split("::")[0] in UNCOLLECTED.findall(out))
+    killers = {t for t in passing if seen.get(t, "PASSED") != "PASSED"} | ({running} & passing)
+    return killers, passing - killers - set(seen)
+
+
 def run(copy):
-    """Each test's outcome in ``copy``, and the test a capped run was in (else None)."""
+    """The ``pytest -v`` transcript of tier-1 in ``copy``, and the test a capped run was in (else None)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONUNBUFFERED="1")
     with subprocess.Popen([sys.executable, "-c", PYTEST], cwd=copy, env=env, text=True,
@@ -68,7 +83,21 @@ def run(copy):
             raise
     if not out.startswith(f"kzsim from {copy / 'src' / 'kzsim'}{os.sep}"):
         sys.exit(f"tier-1 did not import kzsim from the copy: {out[:200]!r}")
-    return dict(RESULT.findall(out)), running
+    return out, running
+
+
+def mutant_row(passing, copy):
+    """The kill-matrix fields of the mutant now in ``copy``, from one run, or
+    two when the first left tests unseen."""
+    runs = [run(copy)]
+    if classify(passing, *runs[0])[1]:
+        runs.append(run(copy))
+    results = [classify(passing, *r) for r in runs]
+    return {"killers": sorted(set.union(*(killers for killers, _ in results))),
+            "unseen": sorted(set.intersection(*(unseen for _, unseen in results))),
+            "capped": any(running is not None for _, running in runs),
+            "aborted": not any(RESULT.search(out) for out, _ in runs),
+            "unstable": len({frozenset(killers) for killers, _ in results}) > 1}
 
 
 def main():
@@ -76,7 +105,8 @@ def main():
         copy, rows = Path(tmp), []
         shutil.copytree(Path(__file__).resolve().parents[1], copy, dirs_exist_ok=True,
                         ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache", ".hypothesis"))
-        parent, running = run(copy)
+        out, running = run(copy)
+        parent = dict(RESULT.findall(out))
         passing = {t for t, outcome in parent.items() if outcome == "PASSED"}
         if running is not None or set(parent) - passing != EXPECTED_FAILURES:
             sys.exit(f"the parent must fail exactly {sorted(EXPECTED_FAILURES)}, not"
@@ -92,14 +122,11 @@ def main():
                 else:
                     node.ops[i] = flip
                 path.write_text(ast.unparse(tree))
-                seen, running = run(copy)
+                row = mutant_row(passing, copy)
                 path.write_text(source)
-                killers = {t for t in passing if seen.get(t) != "PASSED"}
-                if running is not None:  # only what the capped run saw
-                    killers = {t for t in killers if t in seen} | ({running} & passing)
-                rows.append({"site": f"{path.name}:{node.lineno}:{n}", "mutant": ast.unparse(node),
-                             "killers": sorted(killers), "capped": running is not None})
-                print(len(rows), rows[-1]["site"], len(killers), file=sys.stderr, flush=True)
+                rows.append({"site": f"{path.name}:{node.lineno}:{n}", "mutant": ast.unparse(node), **row})
+                print(len(rows), rows[-1]["site"], len(row["killers"]), len(row["unseen"]),
+                      file=sys.stderr, flush=True)
     print("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]")
 
 

@@ -18,14 +18,25 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from kzsim import cli, evolve, protocol
 from kzsim.errors import InvalidConfiguration, UsageError
 
-HOSTILE = ("nan", "inf", "-0.0", "0", "1e-320", "5e-309", "1e308", "1e200", "-1e9", "", "x",
-           "1,2,3", "-1,1")
-# a few valid values, so that draws also reach the trotter and T2 paths
-ORDINARY = ("0.5", "trotter", "2,0.2")
+# parseable numbers, the float edges among them; bx = 0 with b0 = -1 starts
+# on a degenerate ground state
+NUMBERS = ("nan", "inf", "-0.0", "0", "-1", "0.5", "1e-320", "5e-309", "1e308", "1e200", "-1e9")
+UNREADABLE = ("", "x", "1,2,3", "-1,1")
+# each flag's values, mostly readable ones; a flag not listed takes a number
+VALUES = {
+    None: ("fig1a", "fig1b", "fig9"),
+    "--backend": ("reference", "trotter", "x"),
+    "--t2": ("2,0.2", "0,1", "none", *UNREADABLE),
+    "--k-grid": ("1,0.5", "experiment", "-1,1", "1e-320,1", "x"),
+    "--j": ("0", "1", "5", "-1", "x"),
+    "--out": ("a.csv", "", ".", "no/dir/x.csv"),
+}
 _MODEL = ("--bx", "--k", "--b0", "--delta-b", "--j-hz", "--out")
 _GRID = ("--bx", "--k-grid", "--b0", "--bz-end", "--backend", "--t2", "--j-hz", "--out")
 # a number token that is not finite, as repr, format or json writes it
 _NONFINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+# the stderr prefixes of each nonzero exit code
+PREFIXES = {2: ("usage error: ",), 3: ("error: ", "invalid configuration: "), 4: ("i/o error: ",)}
 # subcommand: (argv that keeps a valid draw cheap, flags that take a value;
 # None stands for a positional argument)
 FUZZ = {
@@ -43,9 +54,9 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(FUZZ)))
     base, flags = FUZZ[command]
     argv = [command, *base]
-    for flag, value in draw(st.lists(st.tuples(st.sampled_from(flags),
-                                               st.sampled_from(HOSTILE + ORDINARY)),
-                                     max_size=3)):
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(flags))
+        value = draw(st.sampled_from(VALUES.get(flag, NUMBERS + UNREADABLE)))
         argv += [value] if flag is None else [flag, value]
     if draw(st.booleans()) and draw(st.booleans()):  # a quarter of the draws
         argv.append("--print-config")
@@ -115,6 +126,9 @@ def test_exit_codes(tmp_path, monkeypatch):
         # scans, fits and the overlap window draw on that one propagator source
         with pytest.raises(AssertionError, match="built a propagator"):
             protocol.protocol_overlap(evolve.SweepConfig.from_rate(0.1, 1.0, backend="trotter"), 3)
+    # a command the parser cannot produce is still refused by execute
+    with pytest.raises(UsageError, match="unknown command 'nonsense'"):
+        cli.execute(cli.RunConfig("nonsense", {}, "nonsense.csv"))
     assert not list(tmp_path.iterdir())
     assert cli.main(["lz-check", "--bx", "1e-10"]) == 0
 
@@ -206,15 +220,27 @@ def test_negative_float_literals_are_values(tmp_path, monkeypatch):
 @example(argv=["scan", "--delta-b", "1e-320"])
 @example(argv=["lz-check", "--bx", "1e308"])
 @example(argv=["fit", "--k-grid", "1,0.5", "--backend", "trotter", "--bx", "1e308"])
+@example(argv=["scan", "--bx", "0", "--b0", "-1"])
 def test_fuzzed_argv_exits_with_a_code(tmp_path, monkeypatch, capsys, argv):
+    # a run writes its one artifact, with finite numbers; a refusal writes
+    # nothing and names its exit path on stderr
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
     monkeypatch.chdir(workdir)
     capsys.readouterr()
     code = cli.main(argv)
-    assert code in (0, 2, 3, 4), argv
-    if code == 0 and "--print-config" not in argv:  # a run writes finite numbers
-        texts = [capsys.readouterr().out, *(p.read_text() for p in workdir.iterdir())]
-        assert not any(_NONFINITE.search(text) for text in texts), argv
+    out, err = capsys.readouterr()
+    files = list(workdir.rglob("*"))
+    assert not list(tmp_path.glob(".kzsim-tmp-*")), argv
+    if code == 0:
+        assert err == "", argv
+        if "--print-config" not in argv:
+            assert len(files) == 1, (argv, files)
+            texts = [out, files[0].read_text()]
+            assert not any(_NONFINITE.search(text) for text in texts), argv
+            return
+    else:
+        assert err.startswith(PREFIXES[code]), (argv, err)
+    assert not files, (argv, files)
 
 
 def test_grid_work_refused_before_any_scan(tmp_path, monkeypatch, capsys):

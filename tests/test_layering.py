@@ -2,6 +2,7 @@
 program: another line of ``src/kzsim``, a benchmark script or the README
 names it.  A name that only tests call belongs under ``tests/``, as an
 oracle or a helper."""
+import ast
 import importlib
 import inspect
 import re
@@ -45,3 +46,20 @@ def test_each_exit_path_has_one_exception_type():
                    and not name.startswith("_") and obj is not errors.IndexOutOfRange)
     assert paths == [(2, "usage error"), (3, "error"), (3, "invalid configuration"),
                      (4, "i/o error")], paths
+
+
+def test_every_raise_names_a_kzsim_error():
+    # cli.main reports only kzsim.errors types; any other exception would end
+    # the command in a traceback.  cli's SystemExit is its exit, not a refusal
+    errors = importlib.import_module("kzsim.errors")
+    named = {name for name, obj in vars(errors).items()
+             if inspect.isclass(obj) and issubclass(obj, errors.KzsimError)}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name not in named and (path.name, name) != ("cli.py", "SystemExit"):
+                    stray.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not stray

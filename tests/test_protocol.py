@@ -416,6 +416,8 @@ def test_schedule_golden_text():
     assert s.to_text() == GOLDEN_SCHEDULE_J2
     assert nmr_schedule(cfg).to_text() == GOLDEN_SCHEDULE_J2  # bit-stable
     assert s.total_duration() == pytest.approx(0.0191968556, abs=1e-9)
+    with pytest.raises(KzsimError, match=r"unknown schedule entry \('wait', 1\.0\)"):
+        replace(s, tail=(("wait", 1.0),)).to_text()
 
 
 def test_schedule_unprep_angle_near_equal_c0_c1():

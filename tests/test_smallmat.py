@@ -84,6 +84,8 @@ def test_degenerate_ordering_by_basis_index():
 def test_unitary_step_zero_time():
     m = triplet_block(ModelParams(bx=0.3, bz=0.4))
     assert np.allclose(unitary_step(m, 0.0), np.eye(3), atol=1e-14)
+    with pytest.raises(KzsimError, match="time step must be finite, got nan"):
+        unitary_step(m, math.nan)
 
 
 def test_unitary_step_against_series():
