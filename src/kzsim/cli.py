@@ -15,6 +15,7 @@ Exit codes (stderr prefixes): 0 success, 2 usage error, 3 error or invalid confi
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -147,6 +148,17 @@ def parse_args(argv) -> RunConfig:
     return cfg
 
 
+def _check_target(path: str) -> None:
+    """Refuse a name that cannot become a file: empty, a directory, or in a missing one."""
+    if not path or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        reason = errno.ENOENT
+    elif os.path.isdir(path):
+        reason = errno.EISDIR
+    else:
+        return
+    raise IoError(f"cannot write {path or repr(path)}: {os.strerror(reason)}")
+
+
 def _atomic_write(path: str, text: str) -> None:
     target = os.path.abspath(path)
     # open() creates a fresh name with mode 0o666, so the artifact follows the umask
@@ -165,7 +177,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def execute(cfg: RunConfig) -> int:
     """Run one parsed command: compute its artifact text and summary line, write
-    the artifact once, atomically, then any summary; its layers refuse bad values."""
+    the artifact once, atomically, then any summary; its layers refuse bad values,
+    and a target that cannot be written is refused before any of them runs."""
+    _check_target(cfg.out)
     p, num, summary = cfg.params, evolve._number, ""
     if cfg.command == "scan":
         text = evolve.scan(evolve.SweepConfig.from_rate(**p)).to_csv()
@@ -174,8 +188,8 @@ def execute(cfg: RunConfig) -> int:
             note = f"scaling sweep: bx={list(p['bx_values'])}, backend={p['backend']}"
             header, rows = ("tau_ratio", "defect"), kzm.run_scaling_sweep(**p).points
         else:
-            data = kzm.reproduce_figure(p["figure_id"])
-            note, header, rows = f"{data.figure_id}: {data.note}", data.header, data.rows
+            note, header, rows = kzm.reproduce_figure(p["figure_id"])
+            note = f"{p['figure_id']}: {note}"
         text = "\n".join([f"# {note}", ",".join(header),
                           *(",".join(map(num, row)) for row in rows)]) + "\n"
     elif cfg.command == "fit":
@@ -209,7 +223,3 @@ def main(argv=None) -> int:
     except KzsimError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

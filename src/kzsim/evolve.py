@@ -187,12 +187,12 @@ class ScanTrace:
     t: np.ndarray
     bz: np.ndarray
     defect: np.ndarray
-    overlap: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     concurrence: np.ndarray
 
+    # the overlap F = |<psi_g|psi>|^2 is the ground-state population a0
     CSV_HEADER = "t,bz,defect,overlap,a0,a1,a2,concurrence"
 
     @property
@@ -201,8 +201,7 @@ class ScanTrace:
 
     def to_csv(self) -> str:
         """Render as CSV, every value as ``_number`` writes it."""
-        cols = (self.t, self.bz, self.defect, self.overlap,
-                self.a0, self.a1, self.a2, self.concurrence)
+        cols = (self.t, self.bz, self.defect, self.a0, self.a0, self.a1, self.a2, self.concurrence)
         row = ",".join([_DIGITS] * len(cols))  # all floats: one template per row
         lines = (row % r for r in zip(*(c.tolist() for c in cols)))
         return "\n".join([self.CSV_HEADER, *lines]) + "\n"
@@ -383,8 +382,7 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, concurrences
         pops[lo:hi], conc[lo:hi] = populations(chunk, vectors), concurrences(chunk)
     return ScanTrace(
         t=steps * cfg.delta, bz=bz,
-        defect=_defect(pops[:, 0]), overlap=pops[:, 0].copy(),
-        a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
+        defect=_defect(pops[:, 0]), a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
     )
 
 

@@ -166,10 +166,6 @@ def _tau_ratio(cfg: SweepConfig) -> float:
     return x
 
 
-def _scaling_point(cfg: SweepConfig) -> tuple[float, float]:
-    return _tau_ratio(cfg), evolve.final_defect(cfg)
-
-
 def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     """One run per (bx, k) pair; ``evolve.final_defect`` reads its last boundary alone.
 
@@ -184,9 +180,8 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     work = sum(evolve._work(c) for c in cfgs)
     evolve._check_work(work, f"grid of {len(cfgs)} scans needs"
                              f" {evolve._count(work)} propagator steps")
-    for c in cfgs:
-        _tau_ratio(c)
-    pts = sorted(_scaling_point(c) for c in cfgs)
+    ratios = [_tau_ratio(c) for c in cfgs]
+    pts = sorted(zip(ratios, map(evolve.final_defect, cfgs)))
     alpha_hat, r = fit_scaling(pts)
     return ScalingFit(
         points=tuple(pts),
@@ -234,16 +229,6 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     return p_numeric, p_formula
 
 
-@dataclass(frozen=True)
-class FigureData:
-    """One reproducible dataset: column names plus rows of values."""
-
-    figure_id: str
-    note: str
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-
 def _fig_levels():
     bz = np.arange(-200, 201) / 100.0
     levels = model.triplet_spectrum(ModelParams(bx=0.1, bz=bz)).eigenvalues
@@ -277,12 +262,11 @@ def _fig_defect_curves():
 
 
 def _fig_scaling_points():
-    series = [(f"ideal-bx{bx}", bx, k, "reference")
+    series = [(f"ideal-bx{bx}", SweepConfig.from_rate(bx, k))
               for bx in EXPERIMENT_BX_VALUES for k in sorted(IDEAL_K_VALUES, reverse=True)]
-    series += [("experiment-grid", bx, k, "trotter")
+    series += [("experiment-grid", SweepConfig.from_rate(bx, k, backend="trotter"))
                for bx in EXPERIMENT_BX_VALUES for k in EXPERIMENT_K_VALUES]
-    return [(name, bx, k, *_scaling_point(SweepConfig.from_rate(bx, k, backend=backend)))
-            for name, bx, k, backend in series]
+    return [(name, c.bx, c.k, _tau_ratio(c), evolve.final_defect(c)) for name, c in series]
 
 
 def _fig_concurrence():
@@ -330,15 +314,12 @@ _FIGURES = {
 FIGURE_IDS = tuple(sorted(_FIGURES))
 
 
-def reproduce_figure(figure_id: str) -> FigureData:
-    """Dataset behind one of the published figures."""
+def reproduce_figure(figure_id: str) -> tuple[str, tuple[str, ...], tuple[tuple, ...]]:
+    """Dataset behind one of the published figures: (note, header, rows)."""
     try:
         note, header, builder = _FIGURES[figure_id]
     except KeyError:
         raise InvalidConfiguration(
             f"unknown figure {figure_id!r}; choose from {', '.join(FIGURE_IDS)}"
         ) from None
-    return FigureData(
-        figure_id=figure_id, note=note, header=header,
-        rows=tuple(builder()),
-    )
+    return note, header, tuple(builder())

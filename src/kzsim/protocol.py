@@ -47,14 +47,6 @@ _FIDELITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PrepAngles:
-    """Rotation angles (radians) parametrizing the preparation operator."""
-
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class PulseSchedule:
     """Ordered pulse/delay program for one protocol run.
 
@@ -98,13 +90,13 @@ class PulseSchedule:
 _UZZ_QUARTER = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
 
 
-def prep_operator(a: PrepAngles) -> np.ndarray:
-    """The 4x4 preparation unitary built from its three factors."""
-    return _both("y", -a.beta) @ _UZZ_QUARTER @ _both("x", -a.alpha)
+def prep_operator(alpha: float, beta: float) -> np.ndarray:
+    """The 4x4 preparation unitary built from its three factors (radians)."""
+    return _both("y", -beta) @ _UZZ_QUARTER @ _both("x", -alpha)
 
 
-def prep_angles(g: GroundState) -> PrepAngles:
-    """Angles such that prep_operator(...) maps |00> onto ``g``.
+def prep_angles(g: GroundState) -> tuple[float, float]:
+    """Angles (alpha, beta) such that prep_operator(alpha, beta) maps |00> onto ``g``.
 
     beta is wrapped to [-pi, pi).  The prepared state is checked: a fidelity
     below 1 - 1e-6, which only inputs off the unit sphere or with
@@ -113,18 +105,18 @@ def prep_angles(g: GroundState) -> PrepAngles:
     return _prep(g)[0]
 
 
-def _prep(g: GroundState) -> tuple[PrepAngles, np.ndarray]:
+def _prep(g: GroundState) -> tuple[tuple[float, float], np.ndarray]:
     """prep_angles(g) and the operator its fidelity check built."""
     s = min(1.0, max(-1.0, g.c0 + g.c1))
     alpha = math.acos(s)
     gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
     beta = -gamma - math.atan2(math.sqrt(2) * g.cplus, g.c0 - g.c1)
-    a = PrepAngles(alpha=alpha, beta=(beta + math.pi) % (2 * math.pi) - math.pi)
-    p = prep_operator(a)
+    beta = (beta + math.pi) % (2 * math.pi) - math.pi
+    p = prep_operator(alpha, beta)
     fid = abs(np.vdot(g.vector(), p @ KET_00)) ** 2
     if fid < 1.0 - _FIDELITY_TOL:
         raise KzsimError(f"the preparation does not reproduce the ground state (fidelity {fid})")
-    return a, p
+    return (alpha, beta), p
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
@@ -184,20 +176,21 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
     ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
-    a0, aj = (prep_angles(model._ground(cfg.bx, bz, ends.eigenvalues[i], ends.eigenvectors[i]))
-              for i, bz in enumerate((cfg.b0, cfg.bz_end)))
+    (alpha0, beta0), (alphaj, betaj) = (
+        prep_angles(model._ground(cfg.bx, bz, ends.eigenvalues[i], ends.eigenvectors[i]))
+        for i, bz in enumerate((cfg.b0, cfg.bz_end)))
     segments = []
     for m in range(1, cfg.steps + 1):
         nu = cfg.field(m) * cfg.j_hz / 2.0
         segments.append((*_pair("x", theta), ("offset", nu), ("delay", d)))
     sched = PulseSchedule(
-        prep=(*_pair("x", -a0.alpha), ("offset", 0.0), ("delay", 1.0 / (2.0 * cfg.j_hz)),
-              *_pair("y", -a0.beta)),
+        prep=(*_pair("x", -alpha0), ("offset", 0.0), ("delay", 1.0 / (2.0 * cfg.j_hz)),
+              *_pair("y", -beta0)),
         segments=tuple(segments),
         # exp(+i pi/4 zz) realized as a 7/(2J) delay: exp(-i 7pi/4 zz) equals it
         # exactly since zz has eigenvalues +-1
-        unprep=(*_pair("y", aj.beta), ("offset", 0.0), ("delay", 7.0 / (2.0 * cfg.j_hz)),
-                *_pair("x", aj.alpha)),
+        unprep=(*_pair("y", betaj), ("offset", 0.0), ("delay", 7.0 / (2.0 * cfg.j_hz)),
+                *_pair("x", alphaj)),
         tail=(("crush",), ("pulse", 1, "y", math.pi / 2)),
         j_hz=cfg.j_hz,
     )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kzsim import cli, evolve, protocol
-from kzsim.errors import InvalidConfiguration, UsageError
+from kzsim.errors import InvalidConfiguration, IoError, UsageError
 
 # parseable numbers, the float edges among them; bx = 0 with b0 = -1 starts
 # on a degenerate ground state
@@ -348,11 +348,23 @@ def test_lz_check_output(tmp_path, monkeypatch):
 
 def test_io_error_exit_code(tmp_path, monkeypatch, capsys):
     (tmp_path / "adir").mkdir()
-    for out, reason in ((os.path.join("no", "dir", "x.csv"), "No such file or directory"),
-                        ("adir", "Is a directory")):
-        assert run(["figure", "fig1a", "--out", out], tmp_path, monkeypatch) == 4
-        assert capsys.readouterr().err == f"i/o error: cannot write {out}: {reason}\n"
+    unwritable = ((os.path.join("no", "dir", "x.csv"), "No such file or directory"),
+                  ("adir", "Is a directory"))
+    # a write that fails after the target check is refused with the same words
+    monkeypatch.chdir(tmp_path)
+    for out, reason in unwritable:
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(out)}: {reason}$"):
+            cli._atomic_write(out, "x\n")
     assert not list(tmp_path.rglob(".kzsim-tmp-*"))
+    # a target that cannot be written is refused before any work and any write
+    writes = []
+    monkeypatch.setattr(cli, "_atomic_write", lambda path, text: writes.append(path))
+    refuse_propagators(monkeypatch)
+    for out, reason in (*unwritable, (".", "Is a directory"), ("", "No such file or directory")):
+        for figure in ("fig1a", "fig5"):
+            assert run(["figure", figure, "--out", out], tmp_path, monkeypatch) == 4
+            assert capsys.readouterr().err == f"i/o error: cannot write {out or repr(out)}: {reason}\n"
+    assert writes == []
 
 
 def test_normalized_config_stable():

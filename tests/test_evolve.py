@@ -374,7 +374,7 @@ def test_dephasing_fully_mixed_input():
     cfg = SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2))
     trace = evolve._run(cfg, np.eye(4, dtype=complex) / 4, evolve._dephasing_advance(cfg),
                         evolve._populations_mixed, concurrence_mixed)
-    assert np.allclose(trace.overlap, 0.25, atol=1e-10)
+    assert np.allclose(trace.a0, 0.25, atol=1e-10)
     assert np.all((trace.defect >= 0) & (trace.defect <= 1))
 
 
@@ -454,12 +454,12 @@ CSV_SPECIALS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(CSV_SPECIALS),
-                                      st.integers(-2 ** 60, 2 ** 60).map(float))] * 8),
+                                      st.integers(-2 ** 60, 2 ** 60).map(float))] * 7),
                 max_size=6))
 def test_csv_renders_each_value_as_format_g12(rows):
-    cols = np.array(rows, dtype=float).reshape(-1, 8).T
+    cols = np.array(rows, dtype=float).reshape(-1, 7).T
     trace = ScanTrace(*cols)
     expected = [ScanTrace.CSV_HEADER]
-    for i in range(len(rows)):
-        expected.append(",".join(format(float(c[i]), ".12g") for c in cols))
+    for i in range(len(rows)):  # the overlap column is a0
+        expected.append(",".join(format(float(c[i]), ".12g") for c in (*cols[:4], *cols[3:])))
     assert trace.to_csv() == "\n".join(expected) + "\n"

@@ -188,21 +188,21 @@ def test_reproduce_figure_unknown():
 
 
 def test_figure_levels_dataset():
-    data = reproduce_figure("fig1a")
-    assert data.header == ("bz", "e0", "e1", "e2")
-    assert len(data.rows) == 401
-    for row in data.rows[::40]:
+    _, header, rows = reproduce_figure("fig1a")
+    assert header == ("bz", "e0", "e1", "e2")
+    assert len(rows) == 401
+    for row in rows[::40]:
         assert row[1] <= row[2] <= row[3]
     # avoided crossing: smallest gap sits at bz = -1 and +1
-    gaps = {row[0]: row[2] - row[1] for row in data.rows}
+    gaps = {row[0]: row[2] - row[1] for row in rows}
     assert min(gaps.values()) == pytest.approx(gaps[-1.0], rel=1e-9)
-    assert [row[0] for row in reproduce_figure("fig1b").rows] == [row[0] for row in data.rows]
+    assert [row[0] for row in reproduce_figure("fig1b")[2]] == [row[0] for row in rows]
 
 
 def test_figure_populations_dataset():
-    data = reproduce_figure("fig1c")
+    _, _, rows = reproduce_figure("fig1c")
     by_key = {}
-    for k, t, bz, a0, a1, a2, d in data.rows:
+    for k, t, bz, a0, a1, a2, d in rows:
         by_key[(k, round(bz, 6))] = (a0, d)
     # quiescent before the critical region when started at -2
     assert by_key[(1.0, -1.5)][0] > 0.995
@@ -211,34 +211,34 @@ def test_figure_populations_dataset():
 
 
 def test_figure_defects_dataset():
-    data = reproduce_figure("fig3")
+    _, _, rows = reproduce_figure("fig3")
     finals = {}
-    for bx, k, variant, t, bz, d in data.rows:
+    for bx, k, variant, t, bz, d in rows:
         if variant == "reference" and abs(bz + 0.2) < 1e-9:
             finals[(bx, k)] = d
     for bx in (0.1, 0.2):
         ks = sorted(k for b, k in finals if b == bx)
         ds = [finals[(bx, k)] for k in ks]
         assert all(a < b for a, b in zip(ds, ds[1:]))  # slower scan, fewer defects
-    variants = {row[2] for row in data.rows}
+    variants = {row[2] for row in rows}
     assert variants == {"reference", "trotter", "trotter-t2"}
 
 
 def test_figure_scaling_dataset():
-    data = reproduce_figure("fig4")
-    assert data.header == ("series", "bx", "k", "tau_ratio", "defect")
-    series = {row[0] for row in data.rows}
+    _, header, rows = reproduce_figure("fig4")
+    assert header == ("series", "bx", "k", "tau_ratio", "defect")
+    series = {row[0] for row in rows}
     assert series == {"ideal-bx0.1", "ideal-bx0.2", "experiment-grid"}
-    assert len(data.rows) == 2 * len(kzm.IDEAL_K_VALUES) + 8
-    for name, bx, k, x, d in data.rows:
+    assert len(rows) == 2 * len(kzm.IDEAL_K_VALUES) + 8
+    for name, bx, k, x, d in rows:
         assert x == pytest.approx(4 * bx * bx / k, rel=1e-12)
         assert 0 < d < 1
 
 
 def test_figure_concurrence_dataset():
-    data = reproduce_figure("fig5")
+    _, _, rows = reproduce_figure("fig5")
     at_zero = {}
-    for bx, k, bz, c, d in data.rows:
+    for bx, k, bz, c, d in rows:
         if abs(bz) < 1e-9:
             at_zero[(bx, round(k, 6))] = c
     assert at_zero[(0.2, round(1 / 30, 6))] > at_zero[(0.1, 1.0)]

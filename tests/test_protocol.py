@@ -12,8 +12,8 @@ from kzsim import evolve, model, protocol
 from kzsim.errors import IndexOutOfRange, KzsimError
 from kzsim.evolve import SweepConfig, scan, trotter_step
 from kzsim.model import GroundState, KET_00, ModelParams, ground_state, ground_vector
-from kzsim.protocol import (PrepAngles, gradient_crush, nmr_schedule,
-                            prep_angles, prep_operator, protocol_overlap)
+from kzsim.protocol import (gradient_crush, nmr_schedule, prep_angles, prep_operator,
+                            protocol_overlap)
 
 from helpers import spectrum_fields
 from oracles import rx, ry, simulate_entries
@@ -44,31 +44,31 @@ PULSE 1 y 1.57079632679
 
 
 def fidelity_to_ground(angles, g):
-    psi = prep_operator(angles) @ KET_00
+    psi = prep_operator(*angles) @ KET_00
     return abs(np.vdot(g.vector(), psi)) ** 2
 
 
 def test_prep_angles_product_state():
     g = GroundState(c0=1.0, cplus=0.0, c1=0.0)
-    a = prep_angles(g)
-    assert a.alpha == pytest.approx(0.0)
-    assert fidelity_to_ground(a, g) == pytest.approx(1.0, abs=1e-12)
+    alpha, beta = prep_angles(g)
+    assert alpha == pytest.approx(0.0)
+    assert fidelity_to_ground((alpha, beta), g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prep_angles_bell_state():
     g = GroundState(c0=0.0, cplus=1.0, c1=0.0)
-    a = prep_angles(g)
-    assert a.alpha == pytest.approx(math.pi / 2)
+    alpha, beta = prep_angles(g)
+    assert alpha == pytest.approx(math.pi / 2)
     # beta = -gamma - atan2(sqrt(2), 0) with gamma = atan(1) for the Bell target
-    assert a.beta == pytest.approx(-3 * math.pi / 4, abs=1e-12)
-    assert fidelity_to_ground(a, g) == pytest.approx(1.0, abs=1e-12)
+    assert beta == pytest.approx(-3 * math.pi / 4, abs=1e-12)
+    assert fidelity_to_ground((alpha, beta), g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prep_angles_scan_start():
     g = ground_state(ModelParams(bx=0.1, bz=-1.5))
-    a = prep_angles(g)
-    assert math.cos(a.alpha) == pytest.approx(g.c0 + g.c1, abs=1e-12)
-    assert fidelity_to_ground(a, g) >= 1 - 1e-9
+    alpha, beta = prep_angles(g)
+    assert math.cos(alpha) == pytest.approx(g.c0 + g.c1, abs=1e-12)
+    assert fidelity_to_ground((alpha, beta), g) >= 1 - 1e-9
 
 
 def test_prep_angles_cover_the_scan_grid():
@@ -89,7 +89,7 @@ def test_prep_angles_reach_the_ground_state_amplitude():
             except KzsimError as exc:
                 assert str(exc).startswith("ground state degenerate"), exc
                 continue
-            v, psi = g.vector(), prep_operator(prep_angles(g)) @ KET_00
+            v, psi = g.vector(), prep_operator(*prep_angles(g)) @ KET_00
             assert np.linalg.norm(psi - np.vdot(v, psi) * v) <= 1e-12, (bx, bz)
 
 
@@ -102,7 +102,7 @@ def test_prep_angles_rejects_unreachable_input():
 
 
 def test_prep_operator_zero_angles():
-    p = prep_operator(PrepAngles(alpha=0.0, beta=0.0))
+    p = prep_operator(0.0, 0.0)
     assert np.allclose(np.abs(p), np.abs(np.diag(np.diag(p))))  # diagonal
     psi = p @ KET_00
     assert abs(psi[0]) == pytest.approx(1.0)
@@ -111,8 +111,7 @@ def test_prep_operator_zero_angles():
 def test_prep_operator_unitary_for_random_angles():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        a = PrepAngles(*(float(x) for x in rng.uniform(-math.pi, math.pi, 2)))
-        p = prep_operator(a)
+        p = prep_operator(*(float(x) for x in rng.uniform(-math.pi, math.pi, 2)))
         assert np.max(np.abs(p.conj().T @ p - np.eye(4))) <= 1e-10
 
 
@@ -120,10 +119,10 @@ def test_prep_operator_keeps_the_kron_form_bits():
     uzz = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
     rng = np.random.default_rng(29)
     for _ in range(200):
-        a = PrepAngles(*(float(x) for x in rng.uniform(-4, 4, 2)))
-        ux = np.kron(rx(-a.alpha), rx(-a.alpha))
-        uy = np.kron(ry(-a.beta), ry(-a.beta))
-        assert prep_operator(a).tobytes() == (uy @ uzz @ ux).tobytes()
+        alpha, beta = (float(x) for x in rng.uniform(-4, 4, 2))
+        ux = np.kron(rx(-alpha), rx(-alpha))
+        uy = np.kron(ry(-beta), ry(-beta))
+        assert prep_operator(alpha, beta).tobytes() == (uy @ uzz @ ux).tobytes()
 
 
 def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
@@ -140,12 +139,12 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
 def loop_overlaps(cfg):
     """F(t_j) for j = 0..steps from one fresh per-segment loop, the form
     protocol_overlap replaced; trotter steps on either backend."""
-    p0 = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
+    p0 = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
     psi, out = p0 @ KET_00, []
     for j in range(cfg.steps + 1):
         if j:
             psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(j)), cfg.delta) @ psi
-        pj = prep_operator(prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
+        pj = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
         amp = pj.conj().T @ psi
         out.append(float(gradient_crush(np.outer(amp, amp.conj()))[0, 0].real))
     return out
