@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -149,14 +150,21 @@ def parse_args(argv) -> RunConfig:
 
 
 def _check_target(path: str) -> None:
-    """Refuse a name that cannot become a file: empty, a directory, or in a missing one."""
-    if not path or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        reason = errno.ENOENT
-    elif os.path.isdir(path):
-        reason = errno.EISDIR
-    else:
-        return
-    raise IoError(f"cannot write {path or repr(path)}: {os.strerror(reason)}")
+    """Refuse, with the words ``open`` would use, a name that cannot become a
+    file: empty, a directory, or in a directory that is missing or a file."""
+    reason = None if path else errno.ENOENT
+    if path:
+        try:
+            parent = os.stat(os.path.dirname(os.path.abspath(path))).st_mode
+        except OSError as exc:  # missing, or a file on the way to it
+            reason = exc.errno
+        else:
+            if not stat.S_ISDIR(parent):
+                reason = errno.ENOTDIR
+            elif os.path.isdir(path):
+                reason = errno.EISDIR
+    if reason:
+        raise IoError(f"cannot write {path or repr(path)}: {os.strerror(reason)}")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -190,8 +198,9 @@ def execute(cfg: RunConfig) -> int:
         else:
             note, header, rows = kzm.reproduce_figure(p["figure_id"])
             note = f"{p['figure_id']}: {note}"
-        text = "\n".join([f"# {note}", ",".join(header),
-                          *(",".join(map(num, row)) for row in rows)]) + "\n"
+        # one template per table, as ScanTrace.to_csv: a column's type is its first row's
+        row = ",".join(evolve._DIGITS if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+        text = "\n".join([f"# {note}", ",".join(header), *(row % r for r in rows)]) + "\n"
     elif cfg.command == "fit":
         fit = kzm.run_scaling_sweep(**p)
         text = json.dumps(fit.to_record(), sort_keys=True, indent=2) + "\n"

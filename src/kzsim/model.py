@@ -94,8 +94,10 @@ class GroundState:
     c1: float
 
     def vector(self) -> np.ndarray:
-        """Embedding into the 4-dimensional computational basis."""
-        return self.c0 * KET_00 + self.cplus * PHI_PLUS + self.c1 * KET_11
+        """Embedding into the 4-dimensional computational basis, one row per
+        member when the amplitudes are arrays (a stack)."""
+        c0, cplus, c1 = (np.asarray(c)[..., None] for c in (self.c0, self.cplus, self.c1))
+        return c0 * KET_00 + cplus * PHI_PLUS + c1 * KET_11
 
 
 def _per_matrix(field):
@@ -104,18 +106,21 @@ def _per_matrix(field):
     return field[:, None, None] if isinstance(field, np.ndarray) else field
 
 
-def _rotation(axis: str, flip: float) -> np.ndarray:
-    """The one-spin pulse exp(-i flip/2 sigma_axis) about "x" or "y"."""
-    c, s = math.cos(flip / 2), math.sin(flip / 2)
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _rotation(axis: str, flip) -> np.ndarray:
+    """The one-spin pulse exp(-i flip/2 sigma_axis) about "x" or "y", or one
+    per flip of a 1-D array, stacked; a single flip runs as a stack of one."""
+    entries = []
+    for f in flip.tolist() if isinstance(flip, np.ndarray) else (flip,):
+        c, s = math.cos(f / 2), math.sin(f / 2)
+        entries += (c, -1j * s, -1j * s, c) if axis == "x" else (c, -s, s, c)
+    r = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    return r if np.ndim(flip) else r[0]
 
 
-def _both(axis: str, flip: float) -> np.ndarray:
-    """The same pulse on both spins, a 4x4 unitary."""
+def _both(axis: str, flip) -> np.ndarray:
+    """The same pulse on both spins, a 4x4 unitary, or one per flip of a 1-D array."""
     r = _rotation(axis, flip)
-    return (r[:, None, :, None] * r[None, :, None, :]).reshape(4, 4)
+    return (r[..., :, None, :, None] * r[..., None, :, None, :]).reshape(*r.shape[:-2], 4, 4)
 
 
 def driven_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -145,24 +150,34 @@ def triplet_spectrum(p: ModelParams) -> SpectralData:
 
 
 def ground_state(p: ModelParams) -> GroundState:
-    """Lowest triplet eigenstate with the fixed real phase convention."""
+    """Lowest triplet eigenstate at one field with the fixed real phase convention."""
+    if isinstance(p.bz, np.ndarray):
+        raise InvalidConfiguration(f"ground_state takes one field, got an array of {p.bz.size}")
     sd = triplet_spectrum(p)
     return _ground(p.bx, p.bz, sd.eigenvalues, sd.eigenvectors)
 
 
-def _ground(bx: float, bz: float, w: np.ndarray, v: np.ndarray) -> GroundState:
-    """Ground state at one field from its triplet eigenpairs w, v, unless degenerate."""
-    gap = w[1] - w[0]
-    if gap < 1e-12:
-        raise KzsimError(
-            f"ground state degenerate at bx={bx}, bz={bz} (gap {gap:.2e})"
-        )
-    vec = v[:, 0]
-    # a unit vector with |c0| <= 1e-12 has a nonzero cplus or c1
-    ref = vec[0] if abs(vec[0]) > _PHASE_TOL else next(x for x in vec[1:] if x != 0)
-    vec = vec * (ref.conjugate() / abs(ref))
-    c0, cplus, c1 = (float(x.real) for x in vec)
-    return GroundState(c0=c0, cplus=cplus, c1=c1)
+def _ground(bx: float, bz, w: np.ndarray, v: np.ndarray):
+    """Ground state at one field from its triplet eigenpairs w, v, refused when
+    degenerate.  For a stack (bz (N,), w (N, 3), v (N, 3, 3)) it returns the
+    GroundState of amplitude arrays and each member's refusal message, None
+    where accepted, and raises nothing; a single field runs as a stack of one."""
+    stacked = np.ndim(w) == 2
+    w, vec = w.reshape(-1, 3), v.reshape(-1, 3, 3)[:, :, 0]
+    refusals = [f"ground state degenerate at bx={bx}, bz={b} (gap {gap:.2e})" if gap < 1e-12 else None
+                for b, gap in zip(np.reshape(bz, -1).tolist(), (w[:, 1] - w[:, 0]).tolist())]
+    # np.hypot is abs() of one complex bit for bit; np.abs of an array is not
+    mag = np.hypot(vec.real, vec.imag)
+    # the phase reference is c0, unless |c0| <= 1e-12: then cplus or c1 is nonzero
+    on_c0 = mag[:, 0] > _PHASE_TOL
+    ref = (slice(None), 0) if on_c0.all() else (
+        np.arange(len(vec)), np.where(on_c0, 0, np.where(vec[:, 1] != 0, 1, 2)))
+    amps = (vec * (vec[ref].conj() / mag[ref])[:, None]).real
+    if stacked:
+        return GroundState(*amps.T), refusals
+    if refusals[0]:
+        raise KzsimError(refusals[0])
+    return GroundState(*amps[0].tolist())
 
 
 def ground_vector(p: ModelParams) -> np.ndarray:

@@ -90,38 +90,62 @@ class PulseSchedule:
 _UZZ_QUARTER = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
 
 
-def prep_operator(alpha: float, beta: float) -> np.ndarray:
-    """The 4x4 preparation unitary built from its three factors (radians)."""
+def prep_operator(alpha, beta) -> np.ndarray:
+    """The 4x4 preparation unitary built from its three factors (radians), or
+    one per angle pair of two 1-D arrays, stacked."""
     return _both("y", -beta) @ _UZZ_QUARTER @ _both("x", -alpha)
 
 
-def prep_angles(g: GroundState) -> tuple[float, float]:
+def prep_angles(g: GroundState):
     """Angles (alpha, beta) such that prep_operator(alpha, beta) maps |00> onto ``g``.
 
     beta is wrapped to [-pi, pi).  The prepared state is checked: a fidelity
     below 1 - 1e-6, which only inputs off the unit sphere or with
-    |c0 + c1| > 1 reach, raises KzsimError.
+    |c0 + c1| > 1 reach, raises KzsimError.  For a stack (a GroundState of
+    amplitude arrays) the angles are two arrays, and any member refuses all.
     """
-    return _prep(g)[0]
+    angles, _, refusals = _prep(g)
+    _refuse(refusals)
+    return angles
 
 
-def _prep(g: GroundState) -> tuple[tuple[float, float], np.ndarray]:
-    """prep_angles(g) and the operator its fidelity check built."""
-    s = min(1.0, max(-1.0, g.c0 + g.c1))
-    alpha = math.acos(s)
-    gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
-    beta = -gamma - math.atan2(math.sqrt(2) * g.cplus, g.c0 - g.c1)
-    beta = (beta + math.pi) % (2 * math.pi) - math.pi
-    p = prep_operator(alpha, beta)
-    fid = abs(np.vdot(g.vector(), p @ KET_00)) ** 2
-    if fid < 1.0 - _FIDELITY_TOL:
-        raise KzsimError(f"the preparation does not reproduce the ground state (fidelity {fid})")
-    return (alpha, beta), p
+def _refuse(refusals) -> None:
+    """Raise the first refusal message of a stack's members, if any."""
+    refusal = next(filter(None, refusals), None)
+    if refusal:
+        raise KzsimError(refusal)
+
+
+def _prep(g: GroundState):
+    """prep_angles(g) unchecked, the operators its fidelity check built and
+    each member's refusal message, None where accepted.  The angles come from
+    ``math`` one member at a time, as floats for a single state."""
+    alphas, betas = [], []
+    for c0, cplus, c1 in zip(*(np.reshape(c, -1).tolist() for c in (g.c0, g.cplus, g.c1))):
+        s = min(1.0, max(-1.0, c0 + c1))
+        gamma = math.atan(math.sqrt(max(0.0, 1.0 - s * s)))
+        beta = -gamma - math.atan2(math.sqrt(2) * cplus, c0 - c1)
+        alphas.append(math.acos(s))
+        betas.append((beta + math.pi) % (2 * math.pi) - math.pi)
+    p = prep_operator(np.array(alphas), np.array(betas))
+    amp = (np.conj(g.vector())[..., None, :] @ (p @ KET_00)[..., None])[..., 0, 0]
+    # abs() of one complex is np.hypot bit for bit, and its ** 2 is libm's pow,
+    # which an array's ** 2 (a product) is not
+    fids = [a ** 2 for a in np.hypot(amp.real, amp.imag).reshape(-1).tolist()]
+    refusals = [f"the preparation does not reproduce the ground state (fidelity {fid})"
+                if fid < 1.0 - _FIDELITY_TOL else None for fid in fids]
+    if np.ndim(g.c0):
+        return (np.array(alphas), np.array(betas)), p, refusals
+    return (alphas[0], betas[0]), p[0], refusals
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
-    """Zero all off-diagonal density-matrix elements (populations survive)."""
-    return np.diag(np.diag(np.asarray(rho, dtype=complex)))
+    """Zero all off-diagonal density-matrix elements (populations survive), of
+    one matrix or of each matrix of a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    crushed, i = np.zeros_like(rho), np.arange(rho.shape[-1])
+    crushed[..., i, i] = rho[..., i, i]
+    return crushed
 
 
 def protocol_overlap(cfg: SweepConfig, j: int) -> float:
@@ -133,36 +157,48 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
 
     Boundary j is read from one cached ``_window`` of the SUBSTEP_CHUNK
-    boundaries that holds it, a pure function of that window and of the
-    config's trotter twin without t2 (all the overlap reads; a config that is
-    one is its own twin), so results do not depend on call order.  Only
-    boundary j's ground state is checked and unprepared.  A j that is not an
-    integer in 0..steps (a bool neither) raises IndexOutOfRange.
+    boundaries that holds it, which measures all of them as one stack.  It
+    is a pure function of that window and of the config's trotter twin
+    without t2 (all the overlap reads; a config that is one is its own twin),
+    so results do not depend on call order.  A degenerate ground state or a
+    failed preparation at boundary j is refused only when j is read; one at
+    boundary 0 refuses every read.  A j that is not an integer in 0..steps
+    (a bool neither) raises IndexOutOfRange.
     """
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
+    # an int passes without the slower Integral check; a bool is not an int by type
+    if (type(j) is not int and (isinstance(j, bool) or not isinstance(j, numbers.Integral))
+            or not 0 <= j <= cfg.steps):
         raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
     j, run = int(j), cfg  # a narrow numpy integer would overflow j + SUBSTEP_CHUNK
     if cfg.backend != "trotter" or cfg.t2 is not None:
         run = replace(cfg, backend="trotter", t2=None)
     lo = j - j % evolve.SUBSTEP_CHUNK
-    states, sd = _window(run, lo, min(lo + evolve.SUBSTEP_CHUNK, cfg.steps + 1))
-    g = model._ground(cfg.bx, cfg.field(j), sd.eigenvalues[j - lo], sd.eigenvectors[j - lo])
-    psi = _prep(g)[1].conj().T @ states[j - lo]
-    rho = gradient_crush(np.outer(psi, psi.conj()))
-    return float(rho[0, 0].real)
+    overlaps, refusals = _window(run, lo, min(lo + evolve.SUBSTEP_CHUNK, cfg.steps + 1))
+    if refusals[j - lo]:
+        raise KzsimError(refusals[j - lo])
+    return overlaps[j - lo]
 
 
 @functools.lru_cache(maxsize=1)
 def _window(run: SweepConfig, lo: int, hi: int):
-    """The states of the trotter run ``run`` from P(0)|00> at boundaries
-    lo..hi-1, read from ``evolve._states`` of ``run`` cut to hi - 1
-    segments, and the triplet spectra of those boundaries and then of
-    boundary 0 as one stack, whose last member gives P(0)'s ground state.
-    Only the last window is kept; configs are keyed by equality."""
-    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=run.field(np.r_[lo:hi, 0])))
-    g0 = model._ground(run.bx, run.b0, sd.eigenvalues[-1], sd.eigenvectors[-1])
-    states = evolve._states(replace(run, steps=hi - 1), _prep(g0)[1] @ KET_00, _advance)
-    return tuple(itertools.islice(states, lo, None)), sd
+    """The measured overlaps of the trotter run ``run`` from P(0)|00> at
+    boundaries lo..hi-1, and each one's refusal message, None where accepted.
+    The triplet spectra of those boundaries and then of boundary 0 are one
+    stack, prepared as one stack, whose last member gives P(0); the states
+    come from ``evolve._states`` of ``run`` cut to hi - 1 segments, and are
+    unprepared and crushed as one stack.  Only the last window is kept;
+    configs are keyed by equality."""
+    bz = np.append(run.field(np.arange(lo, hi)), run.b0)
+    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=bz))
+    g, degenerate = model._ground(run.bx, bz, sd.eigenvalues, sd.eigenvectors)
+    _, p, unprepared = _prep(g)
+    refusals = [d or u for d, u in zip(degenerate, unprepared)]
+    if refusals[-1]:
+        raise KzsimError(refusals[-1])
+    states = evolve._states(run if hi > run.steps else replace(run, steps=hi - 1), p[-1] @ KET_00, _advance)
+    psi = np.swapaxes(p[:-1].conj(), -1, -2) @ np.array(list(itertools.islice(states, lo, None)))[..., None]
+    rho = gradient_crush(psi * np.swapaxes(psi.conj(), -1, -2))
+    return rho[:, 0, 0].real.tolist(), refusals[:-1]
 
 
 def _pair(axis: str, flip: float) -> tuple[Entry, Entry]:
@@ -175,10 +211,11 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     when one of its numbers is not finite."""
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
-    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
-    (alpha0, beta0), (alphaj, betaj) = (
-        prep_angles(model._ground(cfg.bx, bz, ends.eigenvalues[i], ends.eigenvectors[i]))
-        for i, bz in enumerate((cfg.b0, cfg.bz_end)))
+    bz = cfg.field(np.array([0, cfg.steps]))
+    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz))
+    g, refusals = model._ground(cfg.bx, bz, ends.eigenvalues, ends.eigenvectors)
+    _refuse(refusals)
+    (alpha0, alphaj), (beta0, betaj) = (a.tolist() for a in prep_angles(g))
     segments = []
     for m in range(1, cfg.steps + 1):
         nu = cfg.field(m) * cfg.j_hz / 2.0

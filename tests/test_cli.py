@@ -348,8 +348,9 @@ def test_lz_check_output(tmp_path, monkeypatch):
 
 def test_io_error_exit_code(tmp_path, monkeypatch, capsys):
     (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
     unwritable = ((os.path.join("no", "dir", "x.csv"), "No such file or directory"),
-                  ("adir", "Is a directory"))
+                  ("adir", "Is a directory"), (os.path.join("afile", "x.csv"), "Not a directory"))
     # a write that fails after the target check is refused with the same words
     monkeypatch.chdir(tmp_path)
     for out, reason in unwritable:

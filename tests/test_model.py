@@ -214,6 +214,9 @@ def test_field_array_validated_elementwise():
         ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
     with pytest.raises(InvalidConfiguration, match=r"^bz must be a number or a 1-D array, got shape \(2, 2\)"):
         ModelParams(bx=0.1, bz=np.zeros((2, 2)))
+    # ground_state reads one field; a stack of them is model._ground's
+    with pytest.raises(InvalidConfiguration, match="^ground_state takes one field, got an array of 2$"):
+        ground_state(ModelParams(bx=0.1, bz=np.array([-0.5, 0.5])))
 
 
 def test_pulse_on_both_spins_keeps_the_kron_bits():

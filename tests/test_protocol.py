@@ -118,35 +118,60 @@ def test_prep_operator_unitary_for_random_angles():
 def test_prep_operator_keeps_the_kron_form_bits():
     uzz = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
     rng = np.random.default_rng(29)
-    for _ in range(200):
-        alpha, beta = (float(x) for x in rng.uniform(-4, 4, 2))
+    pairs = rng.uniform(-4, 4, (200, 2))
+    for alpha, beta in pairs.tolist():
         ux = np.kron(rx(-alpha), rx(-alpha))
         uy = np.kron(ry(-beta), ry(-beta))
         assert prep_operator(alpha, beta).tobytes() == (uy @ uzz @ ux).tobytes()
+    # a stack of them, as the overlap window builds it, gives each member's bits
+    stacked = prep_operator(pairs[:, 0], pairs[:, 1])
+    assert stacked.shape == (200, 4, 4)
+    assert [u.tobytes() for u in stacked] == [prep_operator(a, b).tobytes() for a, b in pairs.tolist()]
 
 
 def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
     # the windows of 4 boundaries run out every few calls; trotter steps
     # apply on either backend; all eight experimental settings
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
-    for bx, k, backend in itertools.product((0.1, 0.2), (1.0, 1 / 2, 1 / 3, 1 / 4),
-                                            ("trotter", "reference")):
-        cfg = SweepConfig.from_rate(bx, k, bz_end=0.0, backend=backend)
-        got = [protocol_overlap(cfg, j) for j in range(cfg.steps + 1)]
-        assert got == loop_overlaps(cfg), (bx, k, backend)
+    cfgs = [SweepConfig.from_rate(bx, k, bz_end=bz_end, backend=backend)
+            for bx, k, backend in itertools.product((0.1, 0.2), (1.0, 1 / 2, 1 / 3, 1 / 4),
+                                                    ("trotter", "reference"))
+            for bz_end in (0.0, 1.5)]  # 1.5: past the second crossing
+    # bx = 0 is degenerate at bz = -1 and +1 (boundaries 5 and 25), each refused
+    # only when read; past bz = +1 the ground state is |11>, with c0 = 0 exactly
+    cfgs.append(SweepConfig.from_rate(0.0, 1.0, b0=-1.5, bz_end=1.5, backend="trotter"))
+    for cfg in cfgs:
+        got = [_read(lambda: protocol_overlap(cfg, j)) for j in range(cfg.steps + 1)]
+        assert got == loop_overlaps(cfg), cfg
+    degenerate = [j for j, f in enumerate(got) if isinstance(f, str)]
+    assert degenerate == [5, 25] and got[5].startswith("ground state degenerate at bx=0.0, bz=-1.0 ")
+    assert ground_state(ModelParams(bx=0.0, bz=cfg.field(26))).c0 == 0.0
+
+
+def _read(measure):
+    """A measured overlap, or the message of the KzsimError that refused it."""
+    try:
+        return measure()
+    except KzsimError as exc:
+        return str(exc)
 
 
 def loop_overlaps(cfg):
     """F(t_j) for j = 0..steps from one fresh per-segment loop, the form
-    protocol_overlap replaced; trotter steps on either backend."""
+    protocol_overlap replaced, with the message of a refused boundary in its
+    place; trotter steps on either backend."""
     p0 = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
     psi, out = p0 @ KET_00, []
+
+    def measure(j):
+        pj = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
+        amp = pj.conj().T @ psi
+        return float(gradient_crush(np.outer(amp, amp.conj()))[0, 0].real)
+
     for j in range(cfg.steps + 1):
         if j:
             psi = trotter_step(ModelParams(bx=cfg.bx, bz=cfg.field(j)), cfg.delta) @ psi
-        pj = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(j)))))
-        amp = pj.conj().T @ psi
-        out.append(float(gradient_crush(np.outer(amp, amp.conj()))[0, 0].real))
+        out.append(_read(lambda: measure(j)))
     return out
 
 
@@ -355,6 +380,9 @@ def test_gradient_crush():
     assert np.array_equal(gradient_crush(crushed), crushed)  # idempotent
     assert np.allclose(np.diag(crushed), np.diag(rho))
     assert np.max(np.abs(crushed - np.diag(np.diag(crushed)))) == 0
+    # a stack is crushed member by member, bit for bit
+    stack = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    assert [r.tobytes() for r in gradient_crush(stack)] == [gradient_crush(r).tobytes() for r in stack]
 
 
 def test_crushed_ground_population():
