@@ -434,7 +434,9 @@ def final_defect(cfg: SweepConfig) -> float:
     the same stream: only its last state is observed.  Boundary 0 (the start)
     and the last boundary are solved as one stack of two."""
     ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
-    start = model._ground(cfg.bx, cfg.b0, ends.eigenvalues[0], ends.eigenvectors[0]).vector()
+    g, refusals = model._ground(cfg.bx, cfg.b0, ends.eigenvalues[0], ends.eigenvectors[0])
+    model._refuse(refusals)
+    start = g.vector()
     state, advance, populations = start, _advance, _populations_pure
     if cfg.t2 is not None:
         state, populations = np.outer(start, start.conj()), _populations_mixed

@@ -63,8 +63,8 @@ class ModelParams:
     and at most FIELD_LIMIT in magnitude.
 
     ``bz`` may also be a 1-D array of fields; the Hamiltonian builders,
-    ``triplet_spectrum`` and ``relaxation_time`` then return one result per
-    field, stacked.
+    ``triplet_spectrum``, ``ground_state`` and ``relaxation_time`` then
+    return one result per field, stacked.
     """
 
     bx: float
@@ -87,6 +87,7 @@ class GroundState:
 
     The amplitudes are real by the phase convention: c0 >= 0 whenever
     |c0| > 1e-12, otherwise the first nonzero of cplus and c1 is positive.
+    For an array of fields each amplitude is an array, one entry per field.
     """
 
     c0: float
@@ -150,20 +151,21 @@ def triplet_spectrum(p: ModelParams) -> SpectralData:
 
 
 def ground_state(p: ModelParams) -> GroundState:
-    """Lowest triplet eigenstate at one field with the fixed real phase convention."""
-    if isinstance(p.bz, np.ndarray):
-        raise InvalidConfiguration(f"ground_state takes one field, got an array of {p.bz.size}")
+    """Lowest triplet eigenstate with the fixed real phase convention, refused
+    when degenerate; for an array p.bz, one per field as amplitude arrays,
+    refused at the first degenerate field."""
     sd = triplet_spectrum(p)
-    return _ground(p.bx, p.bz, sd.eigenvalues, sd.eigenvectors)
+    g, refusals = _ground(p.bx, p.bz, sd.eigenvalues, sd.eigenvectors)
+    _refuse(refusals)
+    return g
 
 
-def _ground(bx: float, bz, w: np.ndarray, v: np.ndarray):
-    """Ground state at one field from its triplet eigenpairs w, v, refused when
-    degenerate.  For a stack (bz (N,), w (N, 3), v (N, 3, 3)) it returns the
-    GroundState of amplitude arrays and each member's refusal message, None
-    where accepted, and raises nothing; a single field runs as a stack of one."""
-    stacked = np.ndim(w) == 2
-    w, vec = w.reshape(-1, 3), v.reshape(-1, 3, 3)[:, :, 0]
+def _ground(bx: float, bz, w: np.ndarray, v: np.ndarray) -> tuple[GroundState, list]:
+    """Ground state at the field bz from its triplet eigenpairs w, v, and its
+    refusal message if degenerate, else None.  For a 1-D array bz (w (N, 3),
+    v (N, 3, 3)) the amplitudes are arrays and there is one message per
+    field; nothing is raised."""
+    w, vec = np.reshape(w, (-1, 3)), np.reshape(v, (-1, 3, 3))[:, :, 0]
     refusals = [f"ground state degenerate at bx={bx}, bz={b} (gap {gap:.2e})" if gap < 1e-12 else None
                 for b, gap in zip(np.reshape(bz, -1).tolist(), (w[:, 1] - w[:, 0]).tolist())]
     # np.hypot is abs() of one complex bit for bit; np.abs of an array is not
@@ -173,11 +175,14 @@ def _ground(bx: float, bz, w: np.ndarray, v: np.ndarray):
     ref = (slice(None), 0) if on_c0.all() else (
         np.arange(len(vec)), np.where(on_c0, 0, np.where(vec[:, 1] != 0, 1, 2)))
     amps = (vec * (vec[ref].conj() / mag[ref])[:, None]).real
-    if stacked:
-        return GroundState(*amps.T), refusals
-    if refusals[0]:
-        raise KzsimError(refusals[0])
-    return GroundState(*amps[0].tolist())
+    return GroundState(*(amps.T if np.ndim(bz) else amps[0].tolist())), refusals
+
+
+def _refuse(refusals) -> None:
+    """Raise the first refusal message of ``refusals`` as KzsimError, if any."""
+    refusal = next(filter(None, refusals), None)
+    if refusal:
+        raise KzsimError(refusal)
 
 
 def ground_vector(p: ModelParams) -> np.ndarray:

@@ -104,22 +104,16 @@ def prep_angles(g: GroundState):
     |c0 + c1| > 1 reach, raises KzsimError.  For a stack (a GroundState of
     amplitude arrays) the angles are two arrays, and any member refuses all.
     """
-    angles, _, refusals = _prep(g)
-    _refuse(refusals)
-    return angles
+    (alphas, betas), _, refusals = _prep(g)
+    model._refuse(refusals)
+    return (np.array(alphas), np.array(betas)) if np.ndim(g.c0) else (alphas[0], betas[0])
 
 
-def _refuse(refusals) -> None:
-    """Raise the first refusal message of a stack's members, if any."""
-    refusal = next(filter(None, refusals), None)
-    if refusal:
-        raise KzsimError(refusal)
-
-
-def _prep(g: GroundState):
-    """prep_angles(g) unchecked, the operators its fidelity check built and
-    each member's refusal message, None where accepted.  The angles come from
-    ``math`` one member at a time, as floats for a single state."""
+def _prep(g: GroundState) -> tuple[tuple[list, list], np.ndarray, list]:
+    """The angles of prep_angles(g) unchecked, as two lists with one entry
+    per member (one for a single state), the stack of operators its fidelity
+    check built and each member's refusal message, None where accepted.  The
+    angles come from ``math`` one member at a time."""
     alphas, betas = [], []
     for c0, cplus, c1 in zip(*(np.reshape(c, -1).tolist() for c in (g.c0, g.cplus, g.c1))):
         s = min(1.0, max(-1.0, c0 + c1))
@@ -128,15 +122,13 @@ def _prep(g: GroundState):
         alphas.append(math.acos(s))
         betas.append((beta + math.pi) % (2 * math.pi) - math.pi)
     p = prep_operator(np.array(alphas), np.array(betas))
-    amp = (np.conj(g.vector())[..., None, :] @ (p @ KET_00)[..., None])[..., 0, 0]
+    amp = (np.conj(g.vector()).reshape(-1, 1, 4) @ (p @ KET_00)[..., None])[:, 0, 0]
     # abs() of one complex is np.hypot bit for bit, and its ** 2 is libm's pow,
     # which an array's ** 2 (a product) is not
-    fids = [a ** 2 for a in np.hypot(amp.real, amp.imag).reshape(-1).tolist()]
+    fids = [a ** 2 for a in np.hypot(amp.real, amp.imag).tolist()]
     refusals = [f"the preparation does not reproduce the ground state (fidelity {fid})"
                 if fid < 1.0 - _FIDELITY_TOL else None for fid in fids]
-    if np.ndim(g.c0):
-        return (np.array(alphas), np.array(betas)), p, refusals
-    return (alphas[0], betas[0]), p[0], refusals
+    return (alphas, betas), p, refusals
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
@@ -165,17 +157,14 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     boundary 0 refuses every read.  A j that is not an integer in 0..steps
     (a bool neither) raises IndexOutOfRange.
     """
-    # an int passes without the slower Integral check; a bool is not an int by type
-    if (type(j) is not int and (isinstance(j, bool) or not isinstance(j, numbers.Integral))
-            or not 0 <= j <= cfg.steps):
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
     j, run = int(j), cfg  # a narrow numpy integer would overflow j + SUBSTEP_CHUNK
     if cfg.backend != "trotter" or cfg.t2 is not None:
         run = replace(cfg, backend="trotter", t2=None)
     lo = j - j % evolve.SUBSTEP_CHUNK
     overlaps, refusals = _window(run, lo, min(lo + evolve.SUBSTEP_CHUNK, cfg.steps + 1))
-    if refusals[j - lo]:
-        raise KzsimError(refusals[j - lo])
+    model._refuse([refusals[j - lo]])
     return overlaps[j - lo]
 
 
@@ -193,9 +182,8 @@ def _window(run: SweepConfig, lo: int, hi: int):
     g, degenerate = model._ground(run.bx, bz, sd.eigenvalues, sd.eigenvectors)
     _, p, unprepared = _prep(g)
     refusals = [d or u for d, u in zip(degenerate, unprepared)]
-    if refusals[-1]:
-        raise KzsimError(refusals[-1])
-    states = evolve._states(run if hi > run.steps else replace(run, steps=hi - 1), p[-1] @ KET_00, _advance)
+    model._refuse(refusals[-1:])
+    states = evolve._states(replace(run, steps=hi - 1), p[-1] @ KET_00, _advance)
     psi = np.swapaxes(p[:-1].conj(), -1, -2) @ np.array(list(itertools.islice(states, lo, None)))[..., None]
     rho = gradient_crush(psi * np.swapaxes(psi.conj(), -1, -2))
     return rho[:, 0, 0].real.tolist(), refusals[:-1]
@@ -214,7 +202,7 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     bz = cfg.field(np.array([0, cfg.steps]))
     ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz))
     g, refusals = model._ground(cfg.bx, bz, ends.eigenvalues, ends.eigenvectors)
-    _refuse(refusals)
+    model._refuse(refusals)
     (alpha0, alphaj), (beta0, betaj) = (a.tolist() for a in prep_angles(g))
     segments = []
     for m in range(1, cfg.steps + 1):

@@ -207,6 +207,15 @@ def test_stacked_spectra_match_single_fields():
     assert taus.tobytes() == np.array(single).tobytes()
     with pytest.raises(KzsimError, match=r"^gap closed at bx=0\.0, bz=-1\.0$"):
         relaxation_time(ModelParams(bx=0.0, bz=np.array([-2.0, -1.0, 0.5])))
+    # ground states too, with bx = 0 past bz = +1 (c0 = 0, the phase fallback);
+    # a stack is refused at its first degenerate field
+    for bx, fields in ((0.15, bz), (0.0, np.array([-2.0, 0.5, 2.0]))):
+        g = ground_state(ModelParams(bx=bx, bz=fields))
+        single = [ground_state(ModelParams(bx=bx, bz=float(b))) for b in fields]
+        for name in ("c0", "cplus", "c1"):
+            assert getattr(g, name).tobytes() == np.array([getattr(s, name) for s in single]).tobytes()
+    with pytest.raises(KzsimError, match=r"^ground state degenerate at bx=0\.0, bz=-1\.0 \(gap "):
+        ground_state(ModelParams(bx=0.0, bz=np.array([-2.0, -1.0, 1.0])))
 
 
 def test_field_array_validated_elementwise():
@@ -214,9 +223,6 @@ def test_field_array_validated_elementwise():
         ModelParams(bx=0.1, bz=np.array([0.0, np.nan]))
     with pytest.raises(InvalidConfiguration, match=r"^bz must be a number or a 1-D array, got shape \(2, 2\)"):
         ModelParams(bx=0.1, bz=np.zeros((2, 2)))
-    # ground_state reads one field; a stack of them is model._ground's
-    with pytest.raises(InvalidConfiguration, match="^ground_state takes one field, got an array of 2$"):
-        ground_state(ModelParams(bx=0.1, bz=np.array([-0.5, 0.5])))
 
 
 def test_pulse_on_both_spins_keeps_the_kron_bits():

@@ -139,6 +139,8 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
             for bz_end in (0.0, 1.5)]  # 1.5: past the second crossing
     # bx = 0 is degenerate at bz = -1 and +1 (boundaries 5 and 25), each refused
     # only when read; past bz = +1 the ground state is |11>, with c0 = 0 exactly
+    # 16 steps, a multiple of the chunk: the last window holds the last boundary alone
+    cfgs.insert(0, SweepConfig(0.2, 1.0, delta=0.1, steps=16, backend="trotter"))
     cfgs.append(SweepConfig.from_rate(0.0, 1.0, b0=-1.5, bz_end=1.5, backend="trotter"))
     for cfg in cfgs:
         got = [_read(lambda: protocol_overlap(cfg, j)) for j in range(cfg.steps + 1)]
