@@ -28,8 +28,8 @@ segment duration dt = 2*delta/(pi*J).
 Every run entry takes only a config and starts in the ground state at b0:
 ``scan`` runs a pure state (``propagate``), or a dephased density matrix
 when T2 times are configured (``dephase_propagate``); ``final_defect``
-observes only the same run's last boundary, for the fits.  A shorter run,
-such as the protocol's overlap window, is the config with fewer steps.
+observes only the same run's last boundary, for the fits.  A shorter run is
+the config with fewer steps.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import model
 from .errors import InvalidConfiguration
-from .model import FIELD_LIMIT, ModelParams, SIGMA_Y
+from .model import ModelParams, SIGMA_Y
 from .smallmat import hermitian_eig, unitary_step
 
 REFERENCE_SUBSTEP = 0.01
@@ -62,19 +62,17 @@ _DIGITS = "%.12g"
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def _require(*, positive: bool = False, **values: float) -> None:
-    """Reject non-finite values and, with ``positive``, values <= 0;
-    without it, the values are fields and must lie within FIELD_LIMIT."""
+def _require(**values: float) -> None:
+    """Reject values that are not positive and finite."""
     for name, value in values.items():
-        if not (value > 0 if positive else abs(value) <= FIELD_LIMIT) or not math.isfinite(value):
-            kind = "positive and finite" if positive else f"finite with |{name}| <= {FIELD_LIMIT:g}"
-            raise InvalidConfiguration(f"{name} must be {kind}, got {value}")
+        if not value > 0 or not math.isfinite(value):
+            raise InvalidConfiguration(f"{name} must be positive and finite, got {value}")
 
 
 def _delta(k: float, delta_b: float) -> float:
     """The segment duration delta_b / k, refused with k and delta_b named
     unless both and their quotient are positive and finite."""
-    _require(positive=True, k=k, delta_b=delta_b)
+    _require(k=k, delta_b=delta_b)
     delta = delta_b / k
     if not 0 < delta < math.inf:
         how = "overflows" if delta else "underflows"
@@ -111,8 +109,8 @@ class SweepConfig:
         object.__setattr__(self, "steps", int(self.steps))  # numpy products wrap or warn
         if not abs(self.steps) < 2 ** 1023:
             raise InvalidConfiguration(f"segment count |steps| = {_count(abs(self.steps))} overflows a float")
-        _require(positive=True, k=self.k, delta=self.delta, j_hz=self.j_hz)
-        _require(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
+        _require(k=self.k, delta=self.delta, j_hz=self.j_hz)
+        model._require_fields(bx=self.bx, b0=self.b0, bz_end=self.bz_end)
         if self.bx < 0:
             raise InvalidConfiguration(f"transverse field must be >= 0, got {self.bx}")
         if self.steps < 0:
@@ -161,7 +159,7 @@ class SweepConfig:
     ) -> "SweepConfig":
         """Build a config from the field step delta_b; delta = delta_b / k."""
         delta = _delta(k, delta_b)
-        _require(b0=b0, bz_end=bz_end)
+        model._require_fields(b0=b0, bz_end=bz_end)
         if not bz_end > b0:
             raise InvalidConfiguration(f"scan window [{b0}, {bz_end}] is empty: bz_end must exceed b0")
         segments = (bz_end - b0) / delta_b
@@ -194,10 +192,6 @@ class ScanTrace:
 
     # the overlap F = |<psi_g|psi>|^2 is the ground-state population a0
     CSV_HEADER = "t,bz,defect,overlap,a0,a1,a2,concurrence"
-
-    @property
-    def final_defect(self) -> float:
-        return float(self.defect[-1])
 
     def to_csv(self) -> str:
         """Render as CSV, every value as ``_number`` writes it."""
@@ -366,20 +360,26 @@ def _states(cfg: SweepConfig, state: np.ndarray, advance):
     return itertools.accumulate(_segment_unitaries(cfg), advance, initial=state)
 
 
+def _chunks(cfg: SweepConfig):
+    """The boundary indices 0..steps of a run, in order, as arrays of up to
+    SUBSTEP_CHUNK: the one rule by which boundary states and their fields
+    are stacked."""
+    steps = np.arange(cfg.steps + 1)
+    return (steps[lo:lo + SUBSTEP_CHUNK] for lo in range(0, len(steps), SUBSTEP_CHUNK))
+
+
 def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, concurrences) -> ScanTrace:
     """Observe every boundary of a run, pure or mixed: its states are handed,
-    SUBSTEP_CHUNK at a time, to ``populations(states, vectors)``, with the
-    triplet eigenvectors at their fields, and to ``concurrences(states)``."""
+    one ``_chunks`` stack at a time, to ``populations(states, vectors)``, with
+    the triplet eigenvectors at their fields, and to ``concurrences(states)``."""
     states = _states(cfg, state, advance)
-    n = cfg.steps + 1
-    steps = np.arange(n)
+    steps = np.arange(cfg.steps + 1)
     bz = cfg.field(steps)
-    pops, conc = np.empty((n, 3)), np.empty(n)
-    for lo in range(0, n, SUBSTEP_CHUNK):
-        hi = min(lo + SUBSTEP_CHUNK, n)
-        chunk = np.array(list(itertools.islice(states, hi - lo)))
-        vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[lo:hi])).eigenvectors
-        pops[lo:hi], conc[lo:hi] = populations(chunk, vectors), concurrences(chunk)
+    pops, conc = np.empty((len(steps), 3)), np.empty(len(steps))
+    for c in _chunks(cfg):
+        chunk = np.array(list(itertools.islice(states, len(c))))
+        vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[c])).eigenvectors
+        pops[c], conc[c] = populations(chunk, vectors), concurrences(chunk)
     return ScanTrace(
         t=steps * cfg.delta, bz=bz,
         defect=_defect(pops[:, 0]), a0=pops[:, 0], a1=pops[:, 1], a2=pops[:, 2], concurrence=conc,
@@ -430,7 +430,7 @@ def scan(cfg: SweepConfig) -> ScanTrace:
 
 
 def final_defect(cfg: SweepConfig) -> float:
-    """``scan(cfg).final_defect``, bit for bit and with the same refusals, from
+    """``scan(cfg).defect[-1]``, bit for bit and with the same refusals, from
     the same stream: only its last state is observed.  Boundary 0 (the start)
     and the last boundary are solved as one stack of two."""
     ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))

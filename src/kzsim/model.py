@@ -48,13 +48,17 @@ _PHASE_TOL = 1e-12
 FIELD_LIMIT = 1e150
 
 
-def _first_outside(value):
-    """The first field of ``value`` (a number or an array) that is not
-    finite or exceeds FIELD_LIMIT in magnitude, or None."""
-    if isinstance(value, np.ndarray):
-        bad = value[~(np.abs(value) <= FIELD_LIMIT)]
-        return bad[0] if bad.size else None
-    return None if abs(value) <= FIELD_LIMIT else value
+def _require_fields(**fields) -> None:
+    """Refuse, by name, the first field (a number or an array of them) that
+    holds a value not finite or above FIELD_LIMIT in magnitude."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            bad = value[~(np.abs(value) <= FIELD_LIMIT)]
+            bad = bad[0] if bad.size else None
+        else:
+            bad = None if abs(value) <= FIELD_LIMIT else value
+        if bad is not None:
+            raise InvalidConfiguration(f"{name} must be finite with |{name}| <= {FIELD_LIMIT:g}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if isinstance(self.bz, np.ndarray) and self.bz.ndim != 1:
             raise InvalidConfiguration(f"bz must be a number or a 1-D array, got shape {self.bz.shape}")
-        for name, value in (("bx", self.bx), ("bz", self.bz)):
-            bad = _first_outside(value)
-            if bad is not None:
-                raise InvalidConfiguration(f"{name} must be finite with |{name}| <= {FIELD_LIMIT:g}, got {bad}")
+        _require_fields(bx=self.bx, bz=self.bz)
         if self.bx < 0:
             raise InvalidConfiguration(f"transverse field must be >= 0, got {self.bx}")
 

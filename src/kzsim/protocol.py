@@ -148,45 +148,45 @@ def protocol_overlap(cfg: SweepConfig, j: int) -> float:
     returns the |00> population.  The crush does not touch the diagonal, so
     this equals |<00| P(t_j)^dag U P(0) |00>|^2 exactly.
 
-    Boundary j is read from one cached ``_window`` of the SUBSTEP_CHUNK
-    boundaries that holds it, which measures all of them as one stack.  It
-    is a pure function of that window and of the config's trotter twin
-    without t2 (all the overlap reads; a config that is one is its own twin),
-    so results do not depend on call order.  A degenerate ground state or a
-    failed preparation at boundary j is refused only when j is read; one at
-    boundary 0 refuses every read.  A j that is not an integer in 0..steps
-    (a bool neither) raises IndexOutOfRange.
+    Boundary j is read from the cached ``_overlaps`` of the whole run, which
+    measures every boundary 0..steps in one pass.  It is a pure function of
+    the config's trotter twin without t2 (all the overlap reads; a config
+    that is one is its own twin), so results do not depend on call order.  A
+    degenerate ground state or a failed preparation at boundary j is refused
+    only when j is read; one at boundary 0 refuses every read.  A j that is
+    not an integer in 0..steps (a bool neither) raises IndexOutOfRange.
     """
     if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= cfg.steps:
         raise IndexOutOfRange(f"segment index {j!r} is not an integer in 0..{cfg.steps}")
-    j, run = int(j), cfg  # a narrow numpy integer would overflow j + SUBSTEP_CHUNK
-    if cfg.backend != "trotter" or cfg.t2 is not None:
-        run = replace(cfg, backend="trotter", t2=None)
-    lo = j - j % evolve.SUBSTEP_CHUNK
-    overlaps, refusals = _window(run, lo, min(lo + evolve.SUBSTEP_CHUNK, cfg.steps + 1))
-    model._refuse([refusals[j - lo]])
-    return overlaps[j - lo]
+    run = cfg if cfg.backend == "trotter" and cfg.t2 is None else replace(cfg, backend="trotter", t2=None)
+    overlaps, refusals = _overlaps(run)
+    model._refuse([refusals[j]])
+    return overlaps[j]
 
 
 @functools.lru_cache(maxsize=1)
-def _window(run: SweepConfig, lo: int, hi: int):
-    """The measured overlaps of the trotter run ``run`` from P(0)|00> at
-    boundaries lo..hi-1, and each one's refusal message, None where accepted.
-    The triplet spectra of those boundaries and then of boundary 0 are one
-    stack, prepared as one stack, whose last member gives P(0); the states
-    come from ``evolve._states`` of ``run`` cut to hi - 1 segments, and are
-    unprepared and crushed as one stack.  Only the last window is kept;
-    configs are keyed by equality."""
-    bz = np.append(run.field(np.arange(lo, hi)), run.b0)
-    sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=bz))
-    g, degenerate = model._ground(run.bx, bz, sd.eigenvalues, sd.eigenvectors)
-    _, p, unprepared = _prep(g)
-    refusals = [d or u for d, u in zip(degenerate, unprepared)]
-    model._refuse(refusals[-1:])
-    states = evolve._states(replace(run, steps=hi - 1), p[-1] @ KET_00, _advance)
-    psi = np.swapaxes(p[:-1].conj(), -1, -2) @ np.array(list(itertools.islice(states, lo, None)))[..., None]
-    rho = gradient_crush(psi * np.swapaxes(psi.conj(), -1, -2))
-    return rho[:, 0, 0].real.tolist(), refusals[:-1]
+def _overlaps(run: SweepConfig) -> tuple[list, list]:
+    """The measured overlaps of the trotter run ``run`` from P(0)|00> at every
+    boundary 0..steps, and each one's refusal message, None where accepted.
+    Each of ``evolve._chunks`` solves its triplet spectra, ground states and
+    preparations as one stack; the first chunk's first preparation is P(0),
+    which starts ``evolve._states``, and each chunk of states is unprepared
+    and crushed as one stack.  Only the last run is kept; configs are keyed
+    by equality."""
+    overlaps, refusals, states = [], [], None
+    for c in evolve._chunks(run):
+        bz = run.field(c)
+        sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=bz))
+        g, degenerate = model._ground(run.bx, bz, sd.eigenvalues, sd.eigenvectors)
+        _, p, unprepared = _prep(g)
+        refusals += [d or u for d, u in zip(degenerate, unprepared)]
+        if states is None:
+            model._refuse(refusals[:1])
+            states = evolve._states(run, p[0] @ KET_00, _advance)
+        psi = evolve._dagger(p) @ np.array(list(itertools.islice(states, len(c))))[..., None]
+        rho = gradient_crush(psi * evolve._dagger(psi))
+        overlaps += rho[:, 0, 0].real.tolist()
+    return overlaps, refusals
 
 
 def _pair(axis: str, flip: float) -> tuple[Entry, Entry]:
@@ -199,10 +199,7 @@ def nmr_schedule(cfg: SweepConfig) -> PulseSchedule:
     when one of its numbers is not finite."""
     theta = 2.0 * cfg.delta * cfg.bx
     d = 2.0 * cfg.delta / (math.pi * cfg.j_hz)
-    bz = cfg.field(np.array([0, cfg.steps]))
-    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz))
-    g, refusals = model._ground(cfg.bx, bz, ends.eigenvalues, ends.eigenvectors)
-    model._refuse(refusals)
+    g = model.ground_state(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
     (alpha0, alphaj), (beta0, betaj) = (a.tolist() for a in prep_angles(g))
     segments = []
     for m in range(1, cfg.steps + 1):

@@ -10,9 +10,9 @@ TEST_TIME_BOUND_S = 30
 
 
 @pytest.fixture(autouse=True)
-def cold_overlap_window():
-    """No test may pass on a protocol_overlap window another test left."""
-    protocol._window.cache_clear()
+def cold_overlap_run():
+    """No test may pass on a protocol_overlap run another test left."""
+    protocol._overlaps.cache_clear()
 
 
 @pytest.fixture(autouse=True)

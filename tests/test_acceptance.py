@@ -177,7 +177,7 @@ def test_criterion_11_t2_effect():
     for bx in (0.1, 0.2):
         pure = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter"))
         noisy = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter", t2=(2.0, 0.2)))
-        diffs[bx] = abs(noisy.final_defect - pure.final_defect)
+        diffs[bx] = abs(noisy.defect[-1] - pure.defect[-1])
     fit_u = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES, backend="trotter")
     fit_t = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES,
                                   backend="trotter", t2=(2.0, 0.2))
@@ -224,11 +224,11 @@ def test_criterion_12_property_suite():
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
     # grid refinement of the reference backend
     cfg = SweepConfig.from_rate(0.1, 1.0)
-    d_coarse = scan(cfg).final_defect
+    d_coarse = scan(cfg).defect[-1]
     saved = evolve.REFERENCE_SUBSTEP
     try:
         evolve.REFERENCE_SUBSTEP = saved / 2
-        d_fine = scan(cfg).final_defect
+        d_fine = scan(cfg).defect[-1]
     finally:
         evolve.REFERENCE_SUBSTEP = saved
     refine = abs(d_coarse - d_fine)

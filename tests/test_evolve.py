@@ -156,8 +156,8 @@ def test_final_defect_matches_scaling_law():
     cfg = SweepConfig.from_rate(0.1, 1.0)
     trace = scan(cfg)
     # frozen reference-backend value, consistent with exp(-1.49 * 4 bx^2 / k)
-    assert trace.final_defect == pytest.approx(0.9390697247, abs=1e-8)
-    assert trace.final_defect == pytest.approx(math.exp(-1.49 * 0.04), abs=0.02)
+    assert trace.defect[-1] == pytest.approx(0.9390697247, abs=1e-8)
+    assert trace.defect[-1] == pytest.approx(math.exp(-1.49 * 0.04), abs=0.02)
     # defect equals 1 - ground population at every boundary, reached at t = j delta
     assert np.max(np.abs(trace.defect - (1 - trace.a0))) < 1e-10
     assert trace.t.tolist() == (np.arange(cfg.steps + 1) * cfg.delta).tolist()
@@ -257,7 +257,7 @@ def test_final_defect_is_the_scans_last_defect(monkeypatch):
     cfgs = fit_configs()
     assert {cfg.steps + 1 for cfg in cfgs} == {14, 16}
     for cfg in cfgs:
-        expected = np.float64(scan(cfg).final_defect).tobytes()
+        expected = np.float64(scan(cfg).defect[-1]).tobytes()
         assert np.float64(evolve.final_defect(cfg)).tobytes() == expected, cfg
 
 
@@ -338,7 +338,7 @@ def test_dephasing_shifts_defects():
     # frozen values for the slowest experimental rate with T2 = (2 s, 0.2 s)
     trace = scan(SweepConfig.from_rate(0.1, 0.25, backend="trotter", t2=(2.0, 0.2)))
     pure = scan(SweepConfig.from_rate(0.1, 0.25, backend="trotter"))
-    assert trace.final_defect - pure.final_defect == pytest.approx(0.006845, abs=1e-5)
+    assert trace.defect[-1] - pure.defect[-1] == pytest.approx(0.006845, abs=1e-5)
 
 
 def test_dephasing_trace_and_positivity():

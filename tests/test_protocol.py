@@ -123,14 +123,14 @@ def test_prep_operator_keeps_the_kron_form_bits():
         ux = np.kron(rx(-alpha), rx(-alpha))
         uy = np.kron(ry(-beta), ry(-beta))
         assert prep_operator(alpha, beta).tobytes() == (uy @ uzz @ ux).tobytes()
-    # a stack of them, as the overlap window builds it, gives each member's bits
+    # a stack of them, as the overlap run builds it, gives each member's bits
     stacked = prep_operator(pairs[:, 0], pairs[:, 1])
     assert stacked.shape == (200, 4, 4)
     assert [u.tobytes() for u in stacked] == [prep_operator(a, b).tobytes() for a, b in pairs.tolist()]
 
 
 def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
-    # the windows of 4 boundaries run out every few calls; trotter steps
+    # the chunks of 4 boundaries run out every few calls; trotter steps
     # apply on either backend; all eight experimental settings
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
     cfgs = [SweepConfig.from_rate(bx, k, bz_end=bz_end, backend=backend)
@@ -139,7 +139,7 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
             for bz_end in (0.0, 1.5)]  # 1.5: past the second crossing
     # bx = 0 is degenerate at bz = -1 and +1 (boundaries 5 and 25), each refused
     # only when read; past bz = +1 the ground state is |11>, with c0 = 0 exactly
-    # 16 steps, a multiple of the chunk: the last window holds the last boundary alone
+    # 16 steps, a multiple of the chunk: the last chunk holds the last boundary alone
     cfgs.insert(0, SweepConfig(0.2, 1.0, delta=0.1, steps=16, backend="trotter"))
     cfgs.append(SweepConfig.from_rate(0.0, 1.0, b0=-1.5, bz_end=1.5, backend="trotter"))
     for cfg in cfgs:
@@ -204,9 +204,9 @@ def counted_trotter_steps(monkeypatch):
 
 
 def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
-    # both run trotter steps, so the twin reads the window the reference
-    # call filled, and the reference config the twin's; the first call
-    # streams segments 1..15 as one stack to fill the window 0..15
+    # both run trotter steps, so the twin reads the run the reference call
+    # measured, and the reference config the twin's; the first call streams
+    # segments 1..15 as one stack to measure boundaries 0..15
     ref = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0)
     twin = replace(ref, backend="trotter")
     expected = loop_overlaps(twin)
@@ -219,23 +219,23 @@ def test_protocol_overlap_reference_config_then_its_trotter_twin(monkeypatch):
 
 
 def test_protocol_overlap_builds_the_twin_only_when_needed(monkeypatch):
-    # a trotter config without t2 keys the window itself, and a cold call at
-    # 0 solves one stack of boundaries 0..15 and then 0, whose last member
-    # gives P(0)'s ground state; a reference or a T2 config builds an equal
-    # twin and reads that window
+    # a trotter config without t2 keys the run itself, and a cold call at 0
+    # solves one stack of boundaries 0..15, whose first member gives P(0)'s
+    # ground state; a reference or a T2 config builds an equal twin and reads
+    # that run
     twin = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     fields = spectrum_fields(monkeypatch)
     expected = [np.float64(protocol_overlap(twin, j)).tobytes() for j in range(twin.steps + 1)]
-    assert fields == [twin.field(np.r_[0:twin.steps + 1, 0]).tolist()]
+    assert fields == [twin.field(np.arange(twin.steps + 1)).tolist()]
     for cfg in (replace(twin, backend="reference"), replace(twin, t2=(2.0, 0.2))):
         got = [np.float64(protocol_overlap(cfg, j)).tobytes() for j in range(cfg.steps + 1)]
         assert got == expected, cfg
-    assert len(fields) == 1 and protocol._window.cache_info().misses == 1
+    assert len(fields) == 1 and protocol._overlaps.cache_info().misses == 1
 
 
 def test_protocol_overlap_keys_by_equality(monkeypatch):
     # t2 as a list makes a config unhashable, and as an array makes == an
-    # array; neither changes the overlap, and an equal copy reads the window
+    # array; neither changes the overlap, and an equal copy reads the run
     base = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     expected = loop_overlaps(base)
     steps = counted_trotter_steps(monkeypatch)
@@ -289,10 +289,10 @@ def test_protocol_overlap_threads_give_the_serial_values(monkeypatch):
 
 def test_protocol_overlap_checks_only_the_boundary_it_reads():
     # at bx = 0 the ground state is degenerate at bz = -1, boundary 5; the
-    # window's spectra, solved for boundary 3, include it
+    # run's spectra, solved for boundary 3, include it
     cfg = SweepConfig.from_rate(0.0, 1.0, bz_end=0.0, backend="trotter")
     for order in ((3, 5), (5, 3)):
-        protocol._window.cache_clear()
+        protocol._overlaps.cache_clear()
         for j in order:
             if j == 5:
                 with pytest.raises(KzsimError, match=r"^ground state degenerate at bx=0\.0, bz=-1\.0 "):
@@ -301,10 +301,10 @@ def test_protocol_overlap_checks_only_the_boundary_it_reads():
                 assert protocol_overlap(cfg, j) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_protocol_overlap_reads_one_aligned_window(monkeypatch):
-    # a miss at j solves the spectra of the aligned window lo..hi-1 that holds
-    # j and then of boundary 0, for P(0)'s ground state, as one stack and
-    # streams segments 1..hi-1; a hit builds nothing
+def test_protocol_overlap_measures_the_run_once(monkeypatch):
+    # a cold read solves the fields of boundaries 0..steps in chunks, with no
+    # second solve of boundary 0 for P(0), and streams segments 1..steps once;
+    # every later read builds nothing
     monkeypatch.setattr(evolve, "SUBSTEP_CHUNK", 4)
     cfg = SweepConfig.from_rate(0.2, 0.25, bz_end=0.0, backend="trotter")
     fields = spectrum_fields(monkeypatch)
@@ -321,15 +321,12 @@ def test_protocol_overlap_reads_one_aligned_window(monkeypatch):
 
     monkeypatch.setattr(model, "hermitian_eig", eig)
     monkeypatch.setattr(evolve, "trotter_step", step)
-    # (j, the window lo..hi-1 a miss solves and streams, None for a hit)
-    for j, window in ((0, (0, 4)), (3, None), (5, (4, 8)), (7, None), (2, (0, 4)),
-                      (15, (12, 16)), (13, None)):
+    for n, j in enumerate((5, 0, 3, 15, 13, 8)):
         fields.clear(), eig_sizes.clear(), segment_fields.clear()
         protocol_overlap(cfg, j)
-        lo, hi = window or (0, 1)
-        stacks = [cfg.field(np.r_[lo:hi, 0]).tolist()] if window else []
+        stacks = [] if n else [cfg.field(np.arange(lo, lo + 4)).tolist() for lo in (0, 4, 8, 12)]
         assert fields == stacks and eig_sizes == [len(f) for f in stacks], j
-        assert segment_fields == cfg.field(np.arange(1, hi)).tolist(), j
+        assert segment_fields == ([] if n else cfg.field(np.arange(1, cfg.steps + 1)).tolist()), j
 
 
 def test_protocol_overlap_at_start():
@@ -366,10 +363,10 @@ def test_protocol_overlap_index_errors():
     for j in (3.0, True, False, np.bool_(True), "3", None, np.float64(2.0)):
         with pytest.raises(IndexOutOfRange):
             protocol_overlap(cfg, j)
-    # each on a cold window, where j + SUBSTEP_CHUNK overflowed an 8-bit index
+    # each on a cold run; a narrow numpy integer indexes as its value
     expected = protocol_overlap(cfg, 2)
     for j in (np.int8(2), np.uint8(2), np.int16(2), np.uint16(2), np.int32(2), np.int64(2)):
-        protocol._window.cache_clear()
+        protocol._overlaps.cache_clear()
         assert protocol_overlap(cfg, j) == expected, type(j)
 
 
