@@ -141,6 +141,8 @@ def test_protocol_overlap_keeps_the_per_segment_loop_bits(monkeypatch):
     # only when read; past bz = +1 the ground state is |11>, with c0 = 0 exactly
     # 16 steps, a multiple of the chunk: the last chunk holds the last boundary alone
     cfgs.insert(0, SweepConfig(0.2, 1.0, delta=0.1, steps=16, backend="trotter"))
+    # bx = 0 from bz = -1: boundary 0 is degenerate, so every read is refused
+    cfgs.insert(1, SweepConfig.from_rate(0.0, 1.0, b0=-1.0, bz_end=0.0, backend="trotter"))
     cfgs.append(SweepConfig.from_rate(0.0, 1.0, b0=-1.5, bz_end=1.5, backend="trotter"))
     for cfg in cfgs:
         got = [_read(lambda: protocol_overlap(cfg, j)) for j in range(cfg.steps + 1)]
@@ -160,9 +162,11 @@ def _read(measure):
 
 def loop_overlaps(cfg):
     """F(t_j) for j = 0..steps from one fresh per-segment loop, the form
-    protocol_overlap replaced, with the message of a refused boundary in its
-    place; trotter steps on either backend."""
-    p0 = prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0))))
+    protocol_overlap replaced, with the message of a refused boundary (of
+    boundary 0 at every boundary) in its place; trotter steps on either backend."""
+    p0 = _read(lambda: prep_operator(*prep_angles(ground_state(ModelParams(bx=cfg.bx, bz=cfg.b0)))))
+    if isinstance(p0, str):
+        return [p0] * (cfg.steps + 1)
     psi, out = p0 @ KET_00, []
 
     def measure(j):
