@@ -194,7 +194,7 @@ def execute(cfg: RunConfig) -> int:
     elif cfg.command in ("sweep", "figure"):
         if cfg.command == "sweep":
             note = f"scaling sweep: bx={list(p['bx_values'])}, backend={p['backend']}"
-            header, rows = ("tau_ratio", "defect"), kzm.run_scaling_sweep(**p).points
+            header, rows = ("tau_ratio", "defect"), kzm.run_scaling_sweep(**p)[0]
         else:
             note, header, rows = kzm.reproduce_figure(p["figure_id"])
             note = f"{p['figure_id']}: {note}"
@@ -202,9 +202,11 @@ def execute(cfg: RunConfig) -> int:
         row = ",".join(evolve._DIGITS if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
         text = "\n".join([f"# {note}", ",".join(header), *(row % r for r in rows)]) + "\n"
     elif cfg.command == "fit":
-        fit = kzm.run_scaling_sweep(**p)
-        text = json.dumps(fit.to_record(), sort_keys=True, indent=2) + "\n"
-        summary = f"alpha_hat={num(fit.alpha_hat)} r={num(fit.r)} n={fit.n_points}\n"
+        points, alpha_hat, r = kzm.run_scaling_sweep(**p)
+        record = {"alpha_hat": alpha_hat, "r": r, "n_points": len(points),
+                  "bx_values": list(p["bx_values"]), "backend": p["backend"]}
+        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        summary = f"alpha_hat={num(alpha_hat)} r={num(r)} n={len(points)}\n"
     elif cfg.command == "schedule":
         sched = protocol.nmr_schedule(evolve.SweepConfig(
             p["bx"], p["k"], delta=evolve._delta(p["k"], p["delta_b"]), steps=p["j"], b0=p["b0"],

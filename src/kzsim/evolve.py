@@ -306,11 +306,10 @@ def concurrence_mixed(rho: np.ndarray) -> float | np.ndarray:
     or of each matrix of a stack (N, 4, 4)."""
     stack = np.reshape(rho, (-1, 4, 4))  # a stack of one, as in concurrence
     rho_t = _YY @ stack.conj() @ _YY
-    sd = hermitian_eig(stack)
-    weights = np.sqrt(np.clip(sd.eigenvalues, 0.0, None))[..., None, :]
-    sqrt_rho = (sd.eigenvectors * weights) @ _dagger(sd.eigenvectors)
+    w, v = hermitian_eig(stack)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     m = sqrt_rho @ rho_t @ sqrt_rho
-    roots = np.sqrt(np.clip(hermitian_eig((m + _dagger(m)) / 2).eigenvalues, 0.0, None))
+    roots = np.sqrt(np.clip(hermitian_eig((m + _dagger(m)) / 2)[0], 0.0, None))
     conc = np.clip(2.0 * roots[:, -1] - roots.sum(-1), 0.0, 1.0)
     return float(conc[0]) if np.ndim(rho) == 2 else conc
 
@@ -378,7 +377,7 @@ def _run(cfg: SweepConfig, state: np.ndarray, advance, populations, concurrences
     pops, conc = np.empty((len(steps), 3)), np.empty(len(steps))
     for c in _chunks(cfg):
         chunk = np.array(list(itertools.islice(states, len(c))))
-        vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[c])).eigenvectors
+        _, vectors = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=bz[c]))
         pops[c], conc[c] = populations(chunk, vectors), concurrences(chunk)
     return ScanTrace(
         t=steps * cfg.delta, bz=bz,
@@ -433,8 +432,8 @@ def final_defect(cfg: SweepConfig) -> float:
     """``scan(cfg).defect[-1]``, bit for bit and with the same refusals, from
     the same stream: only its last state is observed.  Boundary 0 (the start)
     and the last boundary are solved as one stack of two."""
-    ends = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
-    g, refusals = model._ground(cfg.bx, cfg.b0, ends.eigenvalues[0], ends.eigenvectors[0])
+    w, v = model.triplet_spectrum(ModelParams(bx=cfg.bx, bz=cfg.field(np.array([0, cfg.steps]))))
+    g, refusals = model._ground(cfg.bx, cfg.b0, w[0], v[0])
     model._refuse(refusals)
     start = g.vector()
     state, advance, populations = start, _advance, _populations_pure
@@ -443,4 +442,4 @@ def final_defect(cfg: SweepConfig) -> float:
         advance = _dephasing_advance(cfg)
     for state in _states(cfg, state, advance):
         pass
-    return float(_defect(populations(state[None], ends.eigenvectors[1:])[0, 0]))
+    return float(_defect(populations(state[None], v[1:])[0, 0]))

@@ -64,32 +64,6 @@ class KzmParams:
         return self.alpha * self.tau_q / self.tau_0
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """(tau_q/tau_0, D_f) points with the fitted decay constant.
-
-    ``alpha_hat`` is minus the least-squares slope of ln D_f versus x;
-    ``r`` is the magnitude of the Pearson correlation of that line (the
-    fit decays, so the raw coefficient is negative).
-    """
-
-    points: tuple[tuple[float, float], ...]
-    alpha_hat: float
-    r: float
-    n_points: int
-    bx_values: tuple[float, ...]
-    backend: str
-
-    def to_record(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "r": self.r,
-            "n_points": self.n_points,
-            "bx_values": list(self.bx_values),
-            "backend": self.backend,
-        }
-
-
 def quench_time(bx: float, k: float) -> float:
     """tau_q = sqrt(2) bx / k."""
     if bx <= 0 or k <= 0 or not (math.isfinite(bx) and math.isfinite(k)):
@@ -166,8 +140,12 @@ def _tau_ratio(cfg: SweepConfig) -> float:
     return x
 
 
-def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
+def run_scaling_sweep(bx_values, k_values, **options) -> tuple[tuple, float, float]:
     """One run per (bx, k) pair; ``evolve.final_defect`` reads its last boundary alone.
+
+    Returns (points, alpha_hat, r): the sorted (tau_q/tau_0, D_f) pairs and
+    ``fit_scaling`` of them, that is minus the least-squares slope of ln D_f
+    against tau_q/tau_0 and the magnitude of its Pearson correlation.
 
     ``options`` go to ``SweepConfig.from_rate``, whose default window ends
     at bz = -0.2.  The points are pooled into a single fit, so call once per
@@ -181,16 +159,8 @@ def run_scaling_sweep(bx_values, k_values, **options) -> ScalingFit:
     evolve._check_work(work, f"grid of {len(cfgs)} scans needs"
                              f" {evolve._count(work)} propagator steps")
     ratios = [_tau_ratio(c) for c in cfgs]
-    pts = sorted(zip(ratios, map(evolve.final_defect, cfgs)))
-    alpha_hat, r = fit_scaling(pts)
-    return ScalingFit(
-        points=tuple(pts),
-        alpha_hat=alpha_hat,
-        r=r,
-        n_points=len(pts),
-        bx_values=tuple(bx_values),
-        backend=cfgs[0].backend,
-    )
+    points = tuple(sorted(zip(ratios, map(evolve.final_defect, cfgs))))
+    return (points, *fit_scaling(points))
 
 
 def lz_check(bx: float, k: float) -> tuple[float, float]:
@@ -202,7 +172,8 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
     (midpoint substeps of at most 0.01 time units).  Its SweepConfig refuses
     it as it would any scan (more than evolve.MAX_SUBSTEPS substeps, among
     others), and so are a window whose duration overflows or underflows and
-    window ends whose levels are not split beyond smallmat.DEGENERACY_TOL.
+    window ends whose levels w are not split beyond smallmat.DEGENERACY_TOL,
+    the split being the gap w1 - w0 of their ``hermitian_eig``.
     """
     if not (bx > 0 and k > 0 and math.isfinite(bx) and math.isfinite(k)):
         raise InvalidConfiguration(f"need finite bx > 0 and k > 0, got bx={bx}, k={k}")
@@ -214,24 +185,24 @@ def lz_check(bx: float, k: float) -> tuple[float, float]:
                                    f" at bx={bx}, k={k}; use {hint}")
     sweep = SweepConfig(bx, k, delta=duration, steps=1, b0=-1.0 - half_window)
     fields = sweep.field(np.arange(2))
-    ends = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
+    w, v = hermitian_eig(model.effective_hamiltonian(ModelParams(bx=bx, bz=fields)))
     # levels within DEGENERACY_TOL are ordered by basis index, not energy.  The
     # ordering scales the tolerance by max(1, max|w|), but the end levels are
     # +-gap/2, so that scale exceeds 1 only for a gap above 2, which passes anyway
-    for gap in ends.gap:
+    for gap in w[..., 1] - w[..., 0]:
         if not gap > DEGENERACY_TOL:
             raise InvalidConfiguration(f"the levels at a window end are split by {gap:.3g}, within"
                                        f" DEGENERACY_TOL of each other at bx={bx}; use a larger bx")
     segment = next(evolve._segment_unitaries(sweep, hamiltonian=model.effective_hamiltonian))
-    psi = evolve._advance(ends.eigenvectors[0, :, 0], segment)
-    p_numeric = float(abs(np.vdot(ends.eigenvectors[1, :, 1], psi)) ** 2)
+    psi = evolve._advance(v[0, :, 0], segment)
+    p_numeric = float(abs(np.vdot(v[1, :, 1], psi)) ** 2)
     p_formula = math.exp(-2.0 * math.pi * bx * bx / k)
     return p_numeric, p_formula
 
 
 def _fig_levels():
     bz = np.arange(-200, 201) / 100.0
-    levels = model.triplet_spectrum(ModelParams(bx=0.1, bz=bz)).eigenvalues
+    levels, _ = model.triplet_spectrum(ModelParams(bx=0.1, bz=bz))
     return [(b, *e) for b, e in zip(bz.tolist(), levels.tolist())]
 
 

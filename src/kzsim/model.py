@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfiguration, KzsimError
-from .smallmat import SpectralData, hermitian_eig
+from .smallmat import hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -146,8 +146,9 @@ def effective_hamiltonian(p: ModelParams) -> np.ndarray:
     return _per_matrix(p.bz + 1.0) * SIGMA_Z + math.sqrt(2) * p.bx * SIGMA_X
 
 
-def triplet_spectrum(p: ModelParams) -> SpectralData:
-    """Spectral data of the triplet block (ascending, orthonormal columns)."""
+def triplet_spectrum(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the triplet block: ascending levels w and
+    orthonormal eigenvector columns v, stacked for an array p.bz."""
     return hermitian_eig(triplet_block(p))
 
 
@@ -155,8 +156,7 @@ def ground_state(p: ModelParams) -> GroundState:
     """Lowest triplet eigenstate with the fixed real phase convention, refused
     when degenerate; for an array p.bz, one per field as amplitude arrays,
     refused at the first degenerate field."""
-    sd = triplet_spectrum(p)
-    g, refusals = _ground(p.bx, p.bz, sd.eigenvalues, sd.eigenvectors)
+    g, refusals = _ground(p.bx, p.bz, *triplet_spectrum(p))
     _refuse(refusals)
     return g
 
@@ -192,9 +192,11 @@ def ground_vector(p: ModelParams) -> np.ndarray:
 
 
 def relaxation_time(p: ModelParams) -> float | np.ndarray:
-    """Inverse gap between the two lowest triplet levels."""
-    gap = triplet_spectrum(p).gap
-    closed = np.asarray(gap) <= 1e-14
+    """Inverse gap w1 - w0 between the two lowest triplet levels w of
+    ``triplet_spectrum``."""
+    w, _ = triplet_spectrum(p)
+    gap = w[..., 1] - w[..., 0]
+    closed = gap <= 1e-14
     if closed.any():
         raise KzsimError(f"gap closed at bx={p.bx}, bz={np.extract(closed, p.bz)[0]}")
     return 1.0 / gap

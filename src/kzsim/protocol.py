@@ -176,8 +176,7 @@ def _overlaps(run: SweepConfig) -> tuple[list, list]:
     overlaps, refusals, states = [], [], None
     for c in evolve._chunks(run):
         bz = run.field(c)
-        sd = model.triplet_spectrum(ModelParams(bx=run.bx, bz=bz))
-        g, degenerate = model._ground(run.bx, bz, sd.eigenvalues, sd.eigenvectors)
+        g, degenerate = model._ground(run.bx, bz, *model.triplet_spectrum(ModelParams(bx=run.bx, bz=bz)))
         _, p, unprepared = _prep(g)
         refusals += [d or u for d, u in zip(degenerate, unprepared)]
         if states is None:

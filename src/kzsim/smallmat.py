@@ -11,7 +11,6 @@ that is entries below ~9e307.  Functions are pure and mutate no argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +20,6 @@ HERMITIAN_TOL = 1e-12
 # eigenvalues closer than this (relative to the spectral scale) are treated
 # as one degenerate cluster when ordering eigenvectors
 DEGENERACY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigensystem of a Hermitian matrix, sorted by ascending eigenvalue.
-
-    ``eigenvectors`` holds orthonormal columns; ``gap`` is the splitting
-    between the two lowest levels.  For a stack every field gains a leading
-    axis over its members.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    gap: float
 
 
 def _order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,10 +49,11 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v * (v[k, row, col].conj() / a[k, row, col])[:, None, :]
 
 
-def hermitian_eig(m: np.ndarray) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix of dimension 2..4, or of
-    each matrix of a stack (N, n, n), ordered by ``_order`` and phased by
-    ``_fix_phases``.
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix of dimension 2..4, or
+    of each matrix of a stack (N, n, n), as ``np.linalg.eigh`` returns it:
+    ascending eigenvalues w and orthonormal eigenvector columns v, ordered by
+    ``_order`` and phased by ``_fix_phases``.
 
     Raises KzsimError for any other shape, a non-finite entry, max|M - M^dag|
     above 1e-12 or an overflowing (M + M^dag)/2 (in any member of a stack),
@@ -100,10 +86,7 @@ def hermitian_eig(m: np.ndarray) -> SpectralData:
         raise KzsimError(f"eigendecomposition of a {n}x{n} matrix is not finite")
     w, v = _order(w, v)
     v = _fix_phases(v)
-    gap = w[:, 1] - w[:, 0]
-    if a.ndim == 2:
-        return SpectralData(w[0], v[0], float(gap[0]))
-    return SpectralData(w, v, gap)
+    return (w[0], v[0]) if a.ndim == 2 else (w, v)
 
 
 def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:
@@ -111,7 +94,6 @@ def unitary_step(h: np.ndarray, delta: float) -> np.ndarray:
     (N, n, n), via eigendecomposition."""
     if not math.isfinite(delta):
         raise KzsimError(f"time step must be finite, got {delta}")
-    sd = hermitian_eig(h)
-    phases = np.exp(-1j * delta * sd.eigenvalues)
-    v = sd.eigenvectors
+    w, v = hermitian_eig(h)
+    phases = np.exp(-1j * delta * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

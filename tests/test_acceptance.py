@@ -68,11 +68,11 @@ def test_criterion_04_table_fits():
     ]
     ok = True
     parts = []
-    for name, fit, target in checks:
-        good = abs(fit.alpha_hat - target) <= 0.10 and fit.r >= 0.96
+    for name, (_, alpha_hat, r), target in checks:
+        good = abs(alpha_hat - target) <= 0.10 and r >= 0.96
         ok = ok and good
-        parts.append(f"{name}: alpha={fit.alpha_hat:.3f} (target {target}+-0.10),"
-                     f" r={fit.r:.3f}")
+        parts.append(f"{name}: alpha={alpha_hat:.3f} (target {target}+-0.10),"
+                     f" r={r:.3f}")
     _report(4, ok, "; ".join(parts))
     assert ok
 
@@ -178,15 +178,15 @@ def test_criterion_11_t2_effect():
         pure = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter"))
         noisy = scan(SweepConfig.from_rate(bx, 0.25, backend="trotter", t2=(2.0, 0.2)))
         diffs[bx] = abs(noisy.defect[-1] - pure.defect[-1])
-    fit_u = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES, backend="trotter")
-    fit_t = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES,
-                                  backend="trotter", t2=(2.0, 0.2))
-    moved = abs(fit_t.alpha_hat - 1.42) < abs(fit_u.alpha_hat - 1.42)
+    _, alpha_u, _ = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES, backend="trotter")
+    _, alpha_t, _ = kzm.run_scaling_sweep([0.1, 0.2], kzm.EXPERIMENT_K_VALUES,
+                                          backend="trotter", t2=(2.0, 0.2))
+    moved = abs(alpha_t - 1.42) < abs(alpha_u - 1.42)
     shifted = max(diffs.values()) > 0.01
-    ok = shifted and moved and fit_t.alpha_hat < fit_u.alpha_hat
+    ok = shifted and moved and alpha_t < alpha_u
     _report(11, ok, f"|D_t2 - D| at k=1/4: bx=0.1: {diffs[0.1]:.4f},"
                     f" bx=0.2: {diffs[0.2]:.4f} (>0.01 required);"
-                    f" alpha {fit_u.alpha_hat:.3f} -> {fit_t.alpha_hat:.3f}"
+                    f" alpha {alpha_u:.3f} -> {alpha_t:.3f}"
                     f" (toward 1.42)")
     assert ok
 

@@ -133,9 +133,9 @@ def embed(v):
 
 
 def test_observers_give_eigenstates_unit_populations():
-    sd = model.triplet_spectrum(ModelParams(bx=0.13, bz=-0.8))
-    states = np.stack([embed(sd.eigenvectors[:, i]) for i in range(3)])
-    vectors = np.stack([sd.eigenvectors] * 3)
+    _, v = model.triplet_spectrum(ModelParams(bx=0.13, bz=-0.8))
+    states = np.stack([embed(v[:, i]) for i in range(3)])
+    vectors = np.stack([v] * 3)
     assert np.allclose(evolve._populations_pure(states, vectors), np.eye(3), atol=1e-12)
     rhos = np.stack([np.outer(psi, psi.conj()) for psi in states])
     assert np.allclose(evolve._populations_mixed(rhos, vectors), np.eye(3), atol=1e-12)
@@ -147,8 +147,8 @@ def test_ground_state_has_no_defects():
     for t2 in (None, (2.0, 0.2)):
         cfg = SweepConfig(bx=0.1, k=1.0, delta=0.1, steps=0, b0=-0.4, t2=t2)
         assert scan(cfg).defect == pytest.approx([0.0], abs=1e-12)
-    sd = model.triplet_spectrum(ModelParams(bx=0.1, bz=-0.4))
-    pops = evolve._populations_pure(embed(sd.eigenvectors[:, 1])[None], sd.eigenvectors[None])
+    _, v = model.triplet_spectrum(ModelParams(bx=0.1, bz=-0.4))
+    pops = evolve._populations_pure(embed(v[:, 1])[None], v[None])
     assert 1.0 - pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 

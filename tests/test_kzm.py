@@ -132,8 +132,8 @@ def test_scaling_sweep_reads_only_the_last_boundary(monkeypatch):
     for name in ("concurrence", "concurrence_mixed"):
         monkeypatch.setattr(evolve, name, lambda *args, name=name: calls.append(name))
     options = {"backend": "trotter", "t2": kzm.T2_DEFAULT}
-    fit = run_scaling_sweep(kzm.EXPERIMENT_BX_VALUES, kzm.EXPERIMENT_K_VALUES, **options)
-    assert fit.n_points == 8 and calls == []
+    points, _, _ = run_scaling_sweep(kzm.EXPERIMENT_BX_VALUES, kzm.EXPERIMENT_K_VALUES, **options)
+    assert len(points) == 8 and calls == []
     # one call per run, on two fields: its ground state at b0 and its last boundary
     cfgs = [evolve.SweepConfig.from_rate(bx, k, **options)
             for bx in kzm.EXPERIMENT_BX_VALUES for k in kzm.EXPERIMENT_K_VALUES]

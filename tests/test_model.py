@@ -47,7 +47,8 @@ def test_avoided_crossings_at_unit_fields():
     gaps = {}
     for i in range(-200, 201):
         bz = i / 100.0
-        gaps[bz] = triplet_spectrum(ModelParams(bx=0.1, bz=bz)).gap
+        w, _ = triplet_spectrum(ModelParams(bx=0.1, bz=bz))
+        gaps[bz] = w[1] - w[0]
     assert min(gaps.values()) == pytest.approx(gaps[-1.0], rel=1e-6)
     assert gaps[-1.0] == pytest.approx(gaps[1.0], rel=1e-12)
     assert gaps[-1.0] == pytest.approx(2 * math.sqrt(2) * 0.1, abs=5e-3)
@@ -66,10 +67,11 @@ def test_triplet_block_structure():
 
 
 def test_triplet_gap_at_crossing():
-    sd = triplet_spectrum(ModelParams(bx=0.1, bz=-1.0))
-    assert sd.gap == pytest.approx(2 * math.sqrt(2) * 0.1, abs=1e-2)
+    w, _ = triplet_spectrum(ModelParams(bx=0.1, bz=-1.0))
+    gap = w[1] - w[0]
+    assert gap == pytest.approx(2 * math.sqrt(2) * 0.1, abs=1e-2)
     # frozen value from the characteristic-polynomial oracle
-    assert sd.gap == pytest.approx(0.2827103198001204, abs=1e-12)
+    assert gap == pytest.approx(0.2827103198001204, abs=1e-12)
 
 
 def test_triplet_matches_full_hamiltonian():
@@ -78,7 +80,7 @@ def test_triplet_matches_full_hamiltonian():
         p = ModelParams(bx=float(rng.uniform(0, 0.5)), bz=float(rng.uniform(-2.5, 2.5)))
         w3 = cardano_eigvals3(triplet_block(p).real)
         assert np.allclose(w3, triplet_eigs(driven_hamiltonian(p)), atol=1e-10)
-        assert np.allclose(w3, triplet_spectrum(p).eigenvalues, atol=1e-10)
+        assert np.allclose(w3, triplet_spectrum(p)[0], atol=1e-10)
 
 
 def test_effective_hamiltonian():
@@ -194,14 +196,15 @@ def test_stacked_spectra_match_single_fields():
     bz = np.linspace(-2.0, 2.0, 17)
     for bx in (0.0, 0.15):  # bx = 0: degenerate levels at bz = -1, 0 and 1
         p = ModelParams(bx=bx, bz=bz)
-        blocks, sd = triplet_block(p), triplet_spectrum(p)
+        blocks, (w, v) = triplet_block(p), triplet_spectrum(p)
+        stacked = (w, v, w[..., 1] - w[..., 0])
         for i, b in enumerate(bz):
             one = ModelParams(bx=bx, bz=float(b))
             assert blocks[i].tobytes() == triplet_block(one).tobytes()
-            single = triplet_spectrum(one)
-            for name in ("eigenvalues", "eigenvectors", "gap"):
-                expected = np.asarray(getattr(single, name)).tobytes()
-                assert getattr(sd, name)[i].tobytes() == expected, (bx, b, name)
+            one_w, one_v = triplet_spectrum(one)
+            single = (one_w, one_v, one_w[..., 1] - one_w[..., 0])
+            for name, many, expected in zip(("w", "v", "gap"), stacked, single):
+                assert many[i].tobytes() == expected.tobytes(), (bx, b, name)
     taus = relaxation_time(ModelParams(bx=0.15, bz=bz))
     single = [relaxation_time(ModelParams(bx=0.15, bz=float(b))) for b in bz]
     assert taus.tobytes() == np.array(single).tobytes()
